@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import signal
 import statistics
 import subprocess
@@ -235,7 +236,62 @@ def _exit_on_sigterm(signum, frame) -> None:
     raise SystemExit(128 + signum)
 
 
+def live_children() -> list[int]:
+    """Pids of this process's children, reaped or not, from ``/proc``."""
+    me = os.getpid()
+    kids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        if int(stat.rsplit(")", 1)[1].split()[1]) == me:
+            kids.append(int(entry.name))
+    return kids
+
+
+def stop_children(grace_s: float = 10.0) -> None:
+    """Stop and reap every process this one started.
+
+    The program closes its pool workers and cluster agents itself, but
+    ``multiprocessing``'s resource tracker (started by the first shared
+    memory segment or spawned process) only exits once its creator is
+    gone, and is then left to a parent that may never reap it.  It is
+    stopped here; any other child still running gets SIGTERM, then
+    SIGKILL after ``grace_s``.
+    """
+    from multiprocessing import resource_tracker
+
+    stop = getattr(resource_tracker._resource_tracker, "_stop", None)
+    if stop is not None:
+        stop()
+    kids = live_children()
+    for pid in kids:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGTERM)
+    deadline = time.monotonic() + grace_s
+    for pid in kids:
+        try:
+            while os.waitpid(pid, os.WNOHANG)[0] == 0:
+                if time.monotonic() > deadline:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    break
+                time.sleep(0.01)
+        except (ChildProcessError, ProcessLookupError):
+            pass  # already reaped
+
+
 def main(argv: list[str] | None = None) -> int:
+    try:
+        return run_benchmark(argv)
+    finally:
+        stop_children()
+
+
+def run_benchmark(argv: list[str] | None) -> int:
     t_start = time.perf_counter()
     signal.signal(signal.SIGTERM, _exit_on_sigterm)
     sys.path[:0] = [str(SRC), str(ROOT)]

@@ -5,7 +5,8 @@ LocalCluster included) with tracing off and on; each must print every
 declared metric with its unit and fail no operation.  The failure
 paths are exercised too: a recorded coloring that disagrees fails the
 run, a wrong coloring fails the certificate, and a tree without the
-program exits nonzero without printing a result.
+program exits nonzero without printing a result.  No process the benchmark
+starts may outlive it.
 """
 
 from __future__ import annotations
@@ -66,6 +67,25 @@ def test_every_metric_printed_and_no_operation_failed(workload, trace, tmp_path)
         assert all(
             e["args"]["parent_id"] in ids for e in spans if e["name"] != "picasso.color"
         )
+
+
+@pytest.mark.parametrize("workload", ["pauli10k-pool", "pauli10k-cluster"])
+def test_no_process_outlives_a_run(workload, tmp_path):
+    # In-process, so the children of the benchmark's own process can be
+    # listed after ``main`` returns: pool workers, agents and the
+    # multiprocessing resource tracker must all be gone.
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from perfbench import run; "
+        "rc = run.main(sys.argv[2:]); print(rc, run.live_children())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT), "--workload", workload,
+         "--seed", "3", "--seconds", "0.2", "--trace", "1", "--size", "tiny",
+         "--state-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=300, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 []"
 
 
 def test_cross_executor_mismatch_fails_the_run(tmp_path):
