@@ -43,15 +43,9 @@ round-parallelism); the delta is recorded, not hidden.
   bit-identity assertion, since a snapshot that perturbed the
   trajectory would defeat its purpose.
 
-- **fused iterate** (new) — every row above now runs the fused
-  pipeline (worker-side edge sweep, streamed CSR assembly); a
-  ``tiled_unfused`` row keeps the classic iterate on the trajectory.
-  ``fused_speedup`` is classic/fused wall time and
-  ``dispatcher_serial_fraction`` shows the dispatcher-side
-  O(|Ec|) edge sweep going from a measured fraction of the classic
-  iteration to exactly zero in the fused one (the sweep happens on
-  the workers, per strip).  The unfused colorings join the
-  bit-identity assertion: fusion is a pure dataflow change.
+- **dispatcher edge sweep** — ``dispatcher_serial_fraction`` is the
+  share of the run spent in the dispatcher-side degree scan and
+  induced-subgraph relabel of each iteration.
 
 - **kernel backend** (new) — when the numba runtime imports, a
   ``tiled_numba`` row runs the same serial tiled iterate with the
@@ -63,7 +57,7 @@ round-parallelism); the delta is recorded, not hidden.
 - **telemetry** (new) — a probe pass re-runs the last case with
   telemetry enabled and records the headline counter totals (transport
   bytes over the cluster row, pool install delta hit-rate, shm region
-  reuse) plus the merged Prometheus snapshot as an artifact next to
+  creation) plus the merged Prometheus snapshot as an artifact next to
   the report; a microbenchmark of the disabled no-op hooks asserts the
   default-off path adds < 2% to the headline wall time.
 
@@ -170,7 +164,6 @@ def run_config(pauli_set, params: PicassoParams, seed: int, repeats: int = 2) ->
         "sweep_s": round(phases["sweep"], 4),
         "assemble_s": round(phases["assemble"], 4),
         "edge_sweep_s": round(phases["edge_sweep"], 4),
-        "fused": bool(result.iterations and result.iterations[0].fused),
         "n_colors": int(result.n_colors),
         "n_iterations": result.n_iterations,
         "color_engine": result.engine,
@@ -211,13 +204,10 @@ def telemetry_probe(pauli_set, hosts: str, workers: int, seed: int) -> tuple[dic
         telemetry.reset()
     delta = _counter(snap, "pool.install.delta")
     full = _counter(snap, "pool.install.full")
-    reuse = _counter(snap, "shm.region.reuse")
-    create = _counter(snap, "shm.region.create")
     totals = {
         "transport_bytes_sent": int(_counter(snap, "transport.bytes_sent")),
         "transport_bytes_recv": int(_counter(snap, "transport.bytes_recv")),
         "install_delta_hit_rate": round(delta / max(delta + full, 1.0), 4),
-        "shm_region_reuse_rate": round(reuse / max(reuse + create, 1.0), 4),
         "span_events": len(snap["events"]),
     }
     return totals, snap
@@ -246,7 +236,7 @@ def disabled_overhead_pct(headline_total_s: float, snap: dict) -> tuple[float, f
     # Byte totals fire one hook per frame / region alongside these.
     ops += _counter(snap, "transport.frames_sent")
     ops += _counter(snap, "transport.frames_recv")
-    ops += _counter(snap, "shm.region.reuse") + _counter(snap, "shm.region.create")
+    ops += _counter(snap, "shm.region.create")
     for hist in snap["hists"].values():
         ops += hist.get("count", 0.0)
     pct = 100.0 * per_call * ops / max(headline_total_s, 1e-9)
@@ -255,8 +245,7 @@ def disabled_overhead_pct(headline_total_s: float, snap: dict) -> tuple[float, f
 
 def phase_breakdown(row: dict) -> dict:
     """Build-vs-color wall-time split of one config row, including the
-    dispatcher-side edge-sweep bucket — identically zero in fused rows
-    (the sweep runs worker-side, folded into ``build_s``)."""
+    dispatcher-side edge-sweep bucket."""
     total = max(row["total_s"], 1e-9)
     return {
         "build_s": row["conflict_build_s"],
@@ -317,8 +306,7 @@ def main(argv=None) -> int:
     kernel_backend = "numba" if "numba" in available_backends() else "numpy"
     report = {
         "benchmark": (
-            "fused worker-swept iterate vs the classic dispatcher-swept "
-            "one, distributed socket-sharded sweep+coloring vs the "
+            "distributed socket-sharded sweep+coloring vs the "
             f"single-host axes: greedy-dynamic vs {args.color_engine} "
             "coloring, plus the PR 1-3 backend/gather rows"
         ),
@@ -366,13 +354,8 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
     """The per-case measurement loop (cluster lifetime owned by main)."""
     for name, n, nq in cases:
         pauli_set = random_pauli_set(n, nq, seed=0)
-        # PR 1-3 axes (greedy-dynamic coloring throughout).  The rows
-        # run the PR 7 fused iterate (the default); tiled_unfused keeps
-        # the classic dispatcher-swept iterate on the trajectory.
+        # PR 1-3 axes (greedy-dynamic coloring throughout).
         tiled = run_config(pauli_set, PicassoParams(engine="tiled"), args.seed)
-        tiled_unfused = run_config(
-            pauli_set, PicassoParams(engine="tiled", fused=False), args.seed
-        )
         tiled_par = run_config(
             pauli_set,
             PicassoParams(engine="tiled", n_workers=args.workers),
@@ -437,8 +420,7 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
                 args.seed,
             )
         identical = bool(
-            np.array_equal(tiled["colors"], tiled_unfused["colors"])
-            and np.array_equal(tiled["colors"], gather["colors"])
+            np.array_equal(tiled["colors"], gather["colors"])
             and np.array_equal(tiled["colors"], tiled_par["colors"])
             and np.array_equal(tiled["colors"], tiled_shm["colors"])
             and np.array_equal(tiled["colors"], cluster_row["colors"])
@@ -459,7 +441,7 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
             color_serial["n_colors"] == color_pool["n_colors"]
         )
         for row in (
-            tiled, tiled_unfused, tiled_par, tiled_shm, gather,
+            tiled, tiled_par, tiled_shm, gather,
             color_serial, color_pool, cluster_row, checkpointed,
             *([tiled_compiled] if tiled_compiled else []),
         ):
@@ -493,9 +475,6 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
             / max(tiled["n_colors"], 1),
             2,
         )
-        # The PR 7 headlines: classic/fused wall-time ratio, and the
-        # dispatcher-side O(|Ec|) edge sweep as a fraction of the run —
-        # measurable in the classic iterate, identically zero fused.
         # The PR 9 headline: numpy/compiled ratio of the conflict-build
         # (sweep) phase — None where no compiled runtime imports.
         compiled_kernel_speedup = (
@@ -507,18 +486,11 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
             if tiled_compiled is not None
             else None
         )
-        fused_speedup = tiled_unfused["total_s"] / max(tiled["total_s"], 1e-9)
-        unfused_phases = phase_breakdown(tiled_unfused)
-        dispatcher_serial_fraction = {
-            "classic": unfused_phases["dispatcher_serial_fraction"],
-            "fused": phase_breakdown(tiled)["dispatcher_serial_fraction"],
-        }
         row = {
             "name": name,
             "n_strings": n,
             "n_qubits": nq,
             "tiled": tiled,
-            "tiled_unfused": tiled_unfused,
             "tiled_parallel": tiled_par,
             "tiled_parallel_shm": tiled_shm,
             "gather": gather,
@@ -535,12 +507,12 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
             # choice and must not collapse the dict onto the baseline.
             "phase_breakdown": {
                 "baseline_greedy_dynamic": greedy_phases,
-                "classic_unfused": unfused_phases,
                 f"color_{args.color_engine}": parallel_phases,
             },
-            "fused_speedup": round(fused_speedup, 2),
             "compiled_kernel_speedup": compiled_kernel_speedup,
-            "dispatcher_serial_fraction": dispatcher_serial_fraction,
+            "dispatcher_serial_fraction": greedy_phases[
+                "dispatcher_serial_fraction"
+            ],
             "engine_speedup": round(engine_speedup, 2),
             "workers_build_speedup": round(workers_build_speedup, 2),
             "shm_gather_build_speedup": round(shm_gather_build_speedup, 2),
@@ -574,9 +546,8 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
             f"{parallel_phases['color_fraction']:.2f}) "
             f"ckpt_overhead {checkpoint_overhead_pct:+.1f}% "
             f"quality {quality_delta_pct:+.1f}% "
-            f"fused {fused_speedup:.2f}x (edge-sweep fraction "
-            f"{dispatcher_serial_fraction['classic']:.3f}->"
-            f"{dispatcher_serial_fraction['fused']:.3f}) "
+            f"edge-sweep fraction "
+            f"{greedy_phases['dispatcher_serial_fraction']:.3f} "
             + (
                 f"compiled({kernel_backend}) {compiled_kernel_speedup:.2f}x "
                 if compiled_kernel_speedup is not None
@@ -605,8 +576,7 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
         f"telemetry probe ({name}): transport "
         f"{totals['transport_bytes_sent']:,}B out / "
         f"{totals['transport_bytes_recv']:,}B in, install delta hit-rate "
-        f"{totals['install_delta_hit_rate']:.2f}, shm reuse "
-        f"{totals['shm_region_reuse_rate']:.2f}, disabled overhead "
+        f"{totals['install_delta_hit_rate']:.2f}, disabled overhead "
         f"{overhead_pct:.4f}% ({ns_per_call:.0f} ns/hook)"
     )
     if overhead_pct >= 2.0:

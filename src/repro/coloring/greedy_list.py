@@ -5,11 +5,9 @@ assign every vertex a color *from its own list* such that no conflict
 edge is monochrome.  Vertices whose list empties out stay uncolored and
 roll over to the next Picasso iteration (the set ``Vu``).
 
-Home of the serial Algorithm 2 machinery (migrated here from
-``repro.core.list_coloring`` when the coloring-engine subsystem was
-unified — :mod:`repro.coloring.engine` wraps these functions behind the
-:class:`~repro.coloring.engine.ListColoringEngine` registry; the old
-module remains as a re-export shim).
+Home of the serial Algorithm 2 machinery: :mod:`repro.coloring.engine`
+wraps these functions behind the
+:class:`~repro.coloring.engine.ListColoringEngine` registry.
 
 Three schemes:
 

@@ -32,12 +32,9 @@ import numpy as np
 
 from repro.device.tiles import DEFAULT_TILE_BYTES, EdgeBlockFn
 from repro.graphs.csr import CSRGraph
+from repro.graphs.ops import induced_subgraph
 from repro.parallel.executor import Executor, owned_executor
-from repro.parallel.pool import (
-    conflict_sweep_chunks,
-    fused_conflict_csr,
-    gathered_conflict_csr,
-)
+from repro.parallel.pool import conflict_sweep_chunks, gathered_conflict_csr
 
 
 def build_conflict_graph(
@@ -127,44 +124,16 @@ def build_conflict_graph(
         )
 
 
+# No caller: kept only because perfbench/tracing.py wraps this name.
 def build_fused_conflict_state(
-    n: int,
-    edge_mask_fn,
-    colmasks: np.ndarray,
-    chunk_size: int = 1 << 18,
-    engine: str = "tiled",
-    edge_block_fn: EdgeBlockFn | None = None,
-    tile_bytes: int = DEFAULT_TILE_BYTES,
-    n_workers: int = 1,
-    executor: str | Executor = "auto",
-    shm: bool = False,
-    est_conflict_edges: float | None = None,
-    source=None,
-    active_idx: np.ndarray | None = None,
-    hosts=None,
-    transport: str = "socket",
-    region_pool=None,
-    timings: dict | None = None,
-    kernel_backend: str | None = None,
+    n: int, edge_mask_fn, colmasks: np.ndarray, **kwargs
 ) -> tuple[CSRGraph, np.ndarray, int]:
-    """Fused variant of :func:`build_conflict_graph`: returns the
-    conflicted-subgraph CSR, the conflict vertex ids and the edge count
-    in one pass, with the O(|Ec|) dispatcher edge sweep done on the
-    workers (see :func:`repro.parallel.pool.fused_conflict_csr`).
-    Bit-identical state to the classic build + degree scan +
-    induced-subgraph sequence, on every backend.
-    """
-    with owned_executor(
-        executor, n_workers, hosts=hosts, transport=transport
-    ) as ex:
-        return fused_conflict_csr(
-            n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
-            tile_bytes=tile_bytes, executor=ex, shm=shm,
-            est_conflict_edges=est_conflict_edges,
-            source=source, active_idx=active_idx,
-            region_pool=region_pool, timings=timings,
-            kernel_backend=kernel_backend,
-        )
+    """:func:`build_conflict_graph` followed by the driver's degree scan
+    and induced-subgraph relabel: returns the conflicted-subgraph CSR,
+    the conflict vertex ids and the conflict-edge count."""
+    gc, n_edges = build_conflict_graph(n, edge_mask_fn, colmasks, **kwargs)
+    conflicted = np.nonzero(gc.degree() > 0)[0]
+    return induced_subgraph(gc, conflicted)[0], conflicted, n_edges
 
 
 def count_conflict_edges(

@@ -137,18 +137,6 @@ class PicassoParams:
         Bounded-failure retries per backend per sweep before failing
         over (or raising); ``None`` defers to ``REPRO_MAX_RETRIES``
         (default 2) when supervision is on.
-    fused:
-        Fuse each iteration's sweep and assembly: workers pre-sweep
-        their strips' conflict-vertex sets alongside the hit arrays,
-        and the dispatcher assembles the conflicted subgraph CSR
-        directly — skipping the full-width graph, its degree scan and
-        the induced-subgraph relabel (the dispatcher-side O(|Ec|) edge
-        sweep).  Fused and unfused runs are **bit-identical per seed**
-        on every host backend, so this is purely a throughput knob.
-        ``None`` (default) defers to the ``REPRO_FUSED`` environment
-        variable (unset/``1`` = fused; ``0``/``false`` = classic); an
-        explicit bool always wins.  The device build keeps its own
-        path and ignores this knob.
     kernel_backend:
         Compute-kernel backend for the hot word kernels
         (:mod:`repro.device.backends` registry): ``"numpy"`` (the
@@ -196,7 +184,6 @@ class PicassoParams:
     resume: bool = False
     failover: str | tuple | None = None
     max_retries: int | None = None
-    fused: bool | None = None
     kernel_backend: str = "auto"
     telemetry: bool | None = None
 
@@ -306,29 +293,13 @@ class PicassoParams:
             }
         return {}
 
-    def resolved_fused(self) -> bool:
-        """Whether this run takes the fused iterate.
-
-        An explicit ``fused`` bool wins; otherwise the ``REPRO_FUSED``
-        environment variable decides (``"0"``/``"false"``/``"no"``/
-        ``"off"`` disable), defaulting to fused.  Read per call so a
-        test can flip the env var without rebuilding params.
-        """
-        if self.fused is not None:
-            return self.fused
-        import os
-
-        return os.environ.get("REPRO_FUSED", "1").strip().lower() not in (
-            "0", "false", "no", "off",
-        )
-
     def resolved_kernel_backend(self) -> str:
         """The backend name ``kernel_backend="auto"`` resolves to.
 
         An explicit name wins; ``"auto"`` consults
-        ``REPRO_KERNEL_BACKEND`` (read per call, like
-        :meth:`resolved_fused`), landing on ``"numpy"`` when that is
-        unset, empty or itself ``"auto"``.  The result is always a
+        ``REPRO_KERNEL_BACKEND`` (read per call, so a test can flip
+        the env var without rebuilding params), landing on ``"numpy"``
+        when that is unset, empty or itself ``"auto"``.  The result is always a
         concrete name: it ships in worker payloads, so the dispatcher
         and every worker agree on what was requested even when a
         worker's missing runtime makes it degrade to numpy locally.
@@ -345,8 +316,8 @@ class PicassoParams:
 
         An explicit ``telemetry`` bool wins; otherwise the
         ``REPRO_TELEMETRY`` environment variable decides (read per
-        call, like :meth:`resolved_fused`), defaulting to off — the
-        disabled path is the zero-cost one.
+        call, like :meth:`resolved_kernel_backend`), defaulting to
+        off — the disabled path is the zero-cost one.
         """
         if self.telemetry is not None:
             return self.telemetry

@@ -22,7 +22,9 @@ from repro import telemetry
 from repro.coloring.base import ColoringResult
 from repro.coloring.engine import get_engine
 from repro.core.analysis import expected_conflict_edges
-from repro.core.conflict import build_conflict_graph, build_fused_conflict_state
+from repro.core.conflict import build_conflict_graph
+# No caller: kept only because perfbench/tracing.py wraps this name.
+from repro.core.conflict import build_fused_conflict_state
 from repro.core.palette import assign_color_lists, lists_nbytes
 from repro.core.params import PicassoParams
 from repro.core.sources import ExplicitGraphSource, PauliComplementSource
@@ -63,15 +65,13 @@ class IterationStats:
     built_on_device: bool | None = None
     color_rounds: int = 1
     color_peak_bytes: int = 0
-    #: Sub-buckets of the build/color phases (PR 7 fused pipeline
-    #: telemetry).  ``sweep_s`` drains the worker hit stream,
-    #: ``assemble_s`` is the CSR build, ``edge_sweep_s`` is the
-    #: dispatcher-side degree scan + induced-subgraph relabel — zero on
-    #: the fused path, where that work rides the workers' strips.
+    #: Sub-buckets of the build/color phases.  ``sweep_s`` drains the
+    #: worker hit stream, ``assemble_s`` is the CSR build,
+    #: ``edge_sweep_s`` is the dispatcher-side degree scan +
+    #: induced-subgraph relabel.
     sweep_s: float = 0.0
     assemble_s: float = 0.0
     edge_sweep_s: float = 0.0
-    fused: bool = False
 
 
 @dataclass
@@ -105,8 +105,8 @@ class PicassoResult(ColoringResult):
 
         The three coarse phases are joined by their sub-buckets:
         ``sweep`` / ``assemble`` split ``conflict_graph``, and
-        ``edge_sweep`` is the dispatcher-side portion of
-        ``conflict_coloring`` that the fused pipeline eliminates.
+        ``edge_sweep`` is the dispatcher-side degree scan and relabel
+        inside ``conflict_coloring``.
         """
         return {
             "assignment": sum(s.assign_s for s in self.iterations),
@@ -187,24 +187,12 @@ class Picasso:
             hosts=params.hosts, transport=params.transport,
             failover=params.failover, max_retries=params.max_retries,
         )
-        # Double-buffered shm regions reused across the run's fused
-        # sweeps (instead of create/zero/unlink churn per iteration);
-        # run-scoped like the executor, closed with it.
-        region_pool = None
-        if params.shm_gather and self.device is None and params.resolved_fused():
-            from repro.parallel.shm import ShmRegionPool
-
-            region_pool = ShmRegionPool()
         try:
-            return self._color_source_with(source, executor, region_pool)
+            return self._color_source_with(source, executor)
         finally:
-            if region_pool is not None:
-                region_pool.close()
             executor.close()
 
-    def _color_source_with(
-        self, source, executor, region_pool=None
-    ) -> PicassoResult:
+    def _color_source_with(self, source, executor) -> PicassoResult:
         params = self.params
         # Telemetry is enable-only here: a run that asks for it turns
         # the process-wide collector on; a run that does not leaves
@@ -232,10 +220,6 @@ class Picasso:
         iterations: list[IterationStats] = []
         peak_bytes = 0
         start_iteration = 1
-        # Fused iterate: workers pre-sweep conflict vertices and the
-        # dispatcher assembles the conflicted sub-CSR directly.  Host
-        # path only — the device build owns its own budgeted assembly.
-        fused = self.device is None and params.resolved_fused()
 
         ckpt_dir = params.checkpoint_dir
         fingerprint = (
@@ -320,30 +304,6 @@ class Picasso:
                     )
                     n_conf_edges = build_stats.n_conflict_edges
                     built_on_device = build_stats.built_on_device
-                elif fused:
-                    # Fused iterate: the sweep comes back as
-                    # coloring-round state — conflicted vertex ids plus
-                    # their sub-CSR — with the edge-level degree scan
-                    # already folded into the workers' strips.
-                    sub_gc, conflicted, n_conf_edges = (
-                        build_fused_conflict_state(
-                            n,
-                            active_source.edge_mask,
-                            colmasks,
-                            chunk_size=params.chunk_size,
-                            engine=params.engine,
-                            edge_block_fn=edge_block_fn,
-                            tile_bytes=params.tile_budget_bytes,
-                            executor=executor,
-                            shm=params.shm_gather,
-                            est_conflict_edges=est_edges,
-                            source=source,
-                            active_idx=active_idx,
-                            region_pool=region_pool,
-                            timings=timings,
-                            kernel_backend=kb,
-                        )
-                    )
                 else:
                     gc, n_conf_edges = build_conflict_graph(
                         n,
@@ -368,25 +328,15 @@ class Picasso:
             t0 = telemetry.clock()
             with telemetry.span("picasso.conflict_color", iteration=it):
                 local_colors = np.full(n, -1, dtype=np.int64)
-                if fused:
-                    # The conflicted set is in hand; its complement is
-                    # the same ascending id list the degree scan would
-                    # produce.
-                    umask = np.ones(n, dtype=bool)
-                    umask[conflicted] = False
-                    unconflicted = np.flatnonzero(umask)
-                    graph_nbytes = sub_gc.nbytes + conflicted.nbytes
-                else:
-                    t_es = telemetry.clock()
-                    with telemetry.span("picasso.edge_sweep", iteration=it):
-                        degrees = gc.degree()
-                        unconflicted = np.nonzero(degrees == 0)[0]
-                        conflicted = np.nonzero(degrees > 0)[0]
-                        sub_gc = None
-                        if len(conflicted):
-                            sub_gc, _ = induced_subgraph(gc, conflicted)
-                    timings["edge_sweep_s"] = telemetry.clock() - t_es
-                    graph_nbytes = gc.nbytes
+                t_es = telemetry.clock()
+                with telemetry.span("picasso.edge_sweep", iteration=it):
+                    degrees = gc.degree()
+                    unconflicted = np.nonzero(degrees == 0)[0]
+                    conflicted = np.nonzero(degrees > 0)[0]
+                    sub_gc = None
+                    if len(conflicted):
+                        sub_gc, _ = induced_subgraph(gc, conflicted)
+                timings["edge_sweep_s"] = telemetry.clock() - t_es
                 local_colors[unconflicted] = col_lists[unconflicted, 0]
 
                 color_rounds = 0
@@ -416,14 +366,10 @@ class Picasso:
             # but kept out of the Table IV peak metric, whose definition
             # predates the engine layer — changing it would break the
             # cross-PR memory trajectory.
-            # The fused path never holds the full-width graph, so its
-            # term is the conflicted sub-CSR plus the vertex ids — the
-            # same definition the unfused path converges to after its
-            # induced_subgraph, just without the transient full graph.
             iter_peak = (
                 active_source.nbytes
                 + lists_nbytes(col_lists, colmasks)
-                + graph_nbytes
+                + gc.nbytes
                 + colors.nbytes
             )
             peak_bytes = max(peak_bytes, iter_peak)
@@ -447,7 +393,6 @@ class Picasso:
                     sweep_s=float(timings.get("sweep_s", 0.0)),
                     assemble_s=float(timings.get("assemble_s", 0.0)),
                     edge_sweep_s=float(timings.get("edge_sweep_s", 0.0)),
-                    fused=fused,
                 )
             )
 

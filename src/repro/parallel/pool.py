@@ -51,7 +51,7 @@ import itertools
 import threading
 import weakref
 from collections.abc import Iterator
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 
 import numpy as np
 
@@ -86,7 +86,6 @@ __all__ = [
     "conflict_sweep_chunks",
     "conflict_hit_chunks",
     "gathered_conflict_csr",
-    "fused_conflict_csr",
     "block_sweep_chunks",
     "parallel_conflict_graph",
     "payload_token_for",
@@ -430,45 +429,6 @@ def run_pair_range_shm(task) -> int:
     return write_strip_hits(u, v, spec)
 
 
-def _strip_verts(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Sorted unique endpoint ids of one strip's hits — the pre-swept
-    per-vertex conflict state of the fused pipeline.  Computing it here
-    moves the O(|Ec|) vertex detection off the dispatcher and onto the
-    worker; the dispatcher only ORs each strip's (much smaller) vertex
-    set into its global conflict mask."""
-    if not len(u):
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate((u, v)))
-
-
-def _run_tile_strip_fused(task):
-    """Worker task: tile-strip sweep plus per-strip conflict vertices."""
-    u, v = _run_tile_strip(task)
-    return u, v, _strip_verts(u, v)
-
-
-def _run_pair_range_fused(task):
-    """Worker task: pair-range sweep plus per-strip conflict vertices."""
-    u, v = _run_pair_range(task)
-    return u, v, _strip_verts(u, v)
-
-
-def run_tile_strip_shm_fused(task) -> tuple[int, np.ndarray]:
-    """Worker task: tile strip into a shared COO slice, returning the
-    hit count (negated on overflow) and the strip's conflict vertices
-    (valid either way — the sweep ran even when the write did not)."""
-    (start, stop), spec = task
-    u, v = _run_tile_strip((start, stop))
-    return write_strip_hits(u, v, spec), _strip_verts(u, v)
-
-
-def run_pair_range_shm_fused(task) -> tuple[int, np.ndarray]:
-    """Worker task: pair range into a shared COO slice, fused variant."""
-    (start, stop), spec = task
-    u, v = _run_pair_range((start, stop))
-    return write_strip_hits(u, v, spec), _strip_verts(u, v)
-
-
 def _init_block_worker(payload: dict) -> None:
     _WORKER.clear()
     _WORKER.update(payload)
@@ -694,16 +654,19 @@ def gathered_conflict_csr(
     stream — worker compute plus gather) and ``assemble_s`` (the CSR
     build) into the dict, for the per-iteration phase metrics.
     """
-    with conflict_hit_chunks(
-        n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
-        tile_bytes=tile_bytes, executor=executor, shm=shm,
-        est_conflict_edges=est_conflict_edges,
-        source=source, active_idx=active_idx,
-        kernel_backend=kernel_backend,
-    ) as hit_stream:
+    with ExitStack() as stack:
         try:
             t0 = telemetry.clock()
             with telemetry.span("sweep.gather", engine=engine):
+                # Entered inside the clock and the span: the shm gather
+                # runs the whole worker sweep when its context opens.
+                hit_stream = stack.enter_context(conflict_hit_chunks(
+                    n, edge_mask_fn, colmasks, chunk_size, engine,
+                    edge_block_fn, tile_bytes=tile_bytes, executor=executor,
+                    shm=shm, est_conflict_edges=est_conflict_edges,
+                    source=source, active_idx=active_idx,
+                    kernel_backend=kernel_backend,
+                ))
                 chunks = [(u, v) for u, v in hit_stream if len(u)]
             t1 = telemetry.clock()
             m = sum(len(u) for u, _ in chunks)
@@ -720,153 +683,6 @@ def gathered_conflict_csr(
         finally:
             chunks = None
     return graph, m
-
-
-def _fused_sub_csr(
-    n: int,
-    mask: np.ndarray,
-    chunks: list[tuple[np.ndarray, np.ndarray]],
-) -> tuple[CSRGraph, np.ndarray]:
-    """Assemble the conflicted-subgraph CSR directly from hit chunks.
-
-    ``mask`` flags the conflict vertices (the union of all strip vertex
-    sets).  The relabel ``old -> new`` is strictly monotone, so
-    renumbered chunks keep every ordering property of the originals:
-    chunk order is unchanged, within-chunk source order is unchanged,
-    and ties break identically under the stable fill sort — which makes
-    this CSR **bit-identical** to the unfused
-    ``induced_subgraph(csr_from_coo_chunks(chunks, n), conflicted)``
-    (on the conflicted set the induced relabel drops zero arcs, so it
-    too is a pure monotone relabel) while never materializing the
-    full-width graph, its degree vector, or the relabel pass.
-    """
-    conflicted = np.flatnonzero(mask)
-    new_id = np.cumsum(mask, dtype=np.int64)
-    new_id -= 1
-    sub_chunks = [(new_id[u], new_id[v]) for u, v in chunks]
-    return csr_from_coo_chunks(sub_chunks, len(conflicted)), conflicted
-
-
-def fused_conflict_csr(
-    n: int,
-    edge_mask_fn,
-    colmasks: np.ndarray,
-    chunk_size: int = 1 << 18,
-    engine: str = "tiled",
-    edge_block_fn: EdgeBlockFn | None = None,
-    tile_bytes: int = DEFAULT_TILE_BYTES,
-    executor: Executor | None = None,
-    shm: bool = False,
-    est_conflict_edges: float | None = None,
-    source=None,
-    active_idx: np.ndarray | None = None,
-    region_pool=None,
-    timings: dict | None = None,
-    kernel_backend: str | None = None,
-) -> tuple[CSRGraph, np.ndarray, int]:
-    """Fused sweep-and-assemble: one pass from pair sweep to
-    coloring-ready conflict state.
-
-    Workers emit each strip's hits *plus* its pre-swept conflict-vertex
-    set, so the dispatcher-side O(|Ec|) edge sweep of the unfused path
-    (full-width CSR build, degree scan, induced-subgraph relabel) is
-    replaced by OR-ing per-strip vertex sets into a mask and assembling
-    the conflicted sub-CSR directly.  Returns ``(sub_gc, conflicted,
-    n_conflict_edges)`` where ``sub_gc`` is bit-identical to the
-    unfused ``induced_subgraph`` result and ``conflicted`` to the
-    unfused ``nonzero(degree > 0)`` vertex set.
-
-    ``region_pool`` (a :class:`repro.parallel.shm.ShmRegionPool`)
-    double-buffers the shm gather regions across iterations.
-    ``timings`` accumulates ``sweep_s`` / ``assemble_s``.
-    """
-    if engine not in ("tiled", "pairs"):
-        raise ValueError(f"unknown engine {engine!r}")
-    t0 = telemetry.clock()
-    mask = np.zeros(n, dtype=bool)
-    chunks: list[tuple[np.ndarray, np.ndarray]] = []
-    m = 0
-    if executor is None or isinstance(executor, SerialExecutor):
-        # In-process sweep: there is no worker to pre-sweep on, so the
-        # vertex detection scatters endpoints directly per chunk (same
-        # set as the per-strip unique, no sort needed).
-        stream = conflict_sweep_chunks(
-            n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
-            tile_bytes=tile_bytes, executor=executor,
-            source=source, active_idx=active_idx,
-            kernel_backend=kernel_backend,
-        )
-        try:
-            with telemetry.span("sweep.gather", engine=engine):
-                for u, v in stream:
-                    if len(u):
-                        chunks.append((u, v))
-                        mask[u] = True
-                        mask[v] = True
-                        m += len(u)
-        finally:
-            stream.close()
-        t1 = telemetry.clock()
-        with telemetry.span("sweep.assemble", engine=engine):
-            sub_gc, conflicted = _fused_sub_csr(n, mask, chunks)
-    elif shm and executor.supports_shm_gather:
-        with shm_conflict_gather(
-            n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
-            tile_bytes=tile_bytes, executor=executor,
-            est_conflict_edges=est_conflict_edges,
-            source=source, active_idx=active_idx,
-            fused=True, region_pool=region_pool,
-            kernel_backend=kernel_backend,
-        ) as gather:
-            with telemetry.span("sweep.gather", engine=engine):
-                for verts in gather.strip_verts:
-                    if len(verts):
-                        mask[verts] = True
-                chunks = [(u, v) for u, v in gather.chunks if len(u)]
-            m = gather.n_edges
-            t1 = telemetry.clock()
-            # Assemble inside the context: the renumbered chunks are
-            # fresh arrays, so nothing pins the shared region after it.
-            with telemetry.span("sweep.assemble", engine=engine):
-                sub_gc, conflicted = _fused_sub_csr(n, mask, chunks)
-    else:
-        if engine == "tiled" and tile_bytes is not None:
-            tile = tile_edge(colmasks.shape[1], tile_bytes, n=n)
-        else:
-            tile = None
-        tasks, _ = sweep_strip_tasks(n, engine, tile, executor)
-        task_fn = (
-            _run_tile_strip_fused if engine == "tiled"
-            else _run_pair_range_fused
-        )
-        payload_args = dict(
-            n=n, engine=engine, tile=tile, chunk_size=chunk_size,
-            colmasks=colmasks, edge_mask_fn=edge_mask_fn,
-            edge_block_fn=edge_block_fn,
-            source=source, active_idx=active_idx, executor=executor,
-            kernel_backend=kernel_backend,
-        )
-        try:
-            with telemetry.span("sweep.gather", engine=engine):
-                for u, v, verts in imap_sweep(
-                    executor, task_fn, tasks, payload_args
-                ):
-                    if len(verts):
-                        mask[verts] = True
-                    if len(u):
-                        chunks.append((u, v))
-                        m += len(u)
-        finally:
-            finalize_sweep(executor)
-        t1 = telemetry.clock()
-        with telemetry.span("sweep.assemble", engine=engine):
-            sub_gc, conflicted = _fused_sub_csr(n, mask, chunks)
-    if timings is not None:
-        timings["sweep_s"] = timings.get("sweep_s", 0.0) + (t1 - t0)
-        timings["assemble_s"] = (
-            timings.get("assemble_s", 0.0) + (telemetry.clock() - t1)
-        )
-    return sub_gc, conflicted, m
 
 
 def block_sweep_chunks(

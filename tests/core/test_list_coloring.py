@@ -7,8 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.coloring.greedy_list import (
-    # The implementation home; repro.core.list_coloring is a deprecated
-    # shim that warns on import (tested in tests/coloring/test_engines.py).
     greedy_list_color_dynamic,
     greedy_list_color_dynamic_sets,
     greedy_list_color_static,

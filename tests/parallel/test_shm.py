@@ -30,6 +30,7 @@ from repro.parallel import (
 )
 from repro.parallel.shm import MIN_STRIP_SLOTS
 from repro.pauli import random_pauli_set
+from repro.resilience.faults import FaultInjected, clear_faults
 from repro.util.bits import bitset_from_lists
 
 
@@ -310,6 +311,47 @@ class TestPicassoShmEndToEnd:
         ).color(ps)
         np.testing.assert_array_equal(serial.colors, pickled.colors)
         np.testing.assert_array_equal(serial.colors, shm.colors)
+
+    def test_phase_buckets_cover_the_shm_sweep(self, monkeypatch):
+        """The shm gather runs the whole worker sweep while its context
+        opens, so the sweep clock must already be running by then.  Each
+        worker stalls 0.1 s on its first strip, which the sweep bucket
+        has to contain."""
+        monkeypatch.setenv("REPRO_FAULT", "delay:task:1:0.1")
+        monkeypatch.setenv("REPRO_FAULT_SPARE_PID", str(os.getpid()))
+        ps = random_pauli_set(300, 8, seed=9)
+        try:
+            r = Picasso(
+                params=PicassoParams(n_workers=2, shm_gather=True), seed=11
+            ).color(ps)
+        finally:
+            clear_faults()
+        phases = r.phase_times()
+        assert phases["sweep"] >= 0.1
+        assert phases["sweep"] + phases["assemble"] <= phases["conflict_graph"]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+    def test_no_segment_outlives_a_run(self, monkeypatch):
+        """Each sweep creates and unlinks its own regions, on success
+        and when a worker task fails mid-sweep."""
+
+        def segments():
+            return {f for f in os.listdir("/dev/shm") if f.startswith("psm_")}
+
+        ps = random_pauli_set(150, 8, seed=9)
+        params = PicassoParams(n_workers=2, shm_gather=True)
+        before = segments()
+        Picasso(params=params, seed=11).color(ps)
+        assert not segments() - before
+        # Workers arm from the environment; the dispatcher is spared.
+        monkeypatch.setenv("REPRO_FAULT", "error:task:2")
+        monkeypatch.setenv("REPRO_FAULT_SPARE_PID", str(os.getpid()))
+        try:
+            with pytest.raises(FaultInjected):
+                Picasso(params=params, seed=11).color(ps)
+        finally:
+            clear_faults()
+        assert not segments() - before
 
     def test_device_shm_under_memory_pressure(self):
         """Regression: once the worst-case COO buffer reaches the

@@ -74,7 +74,7 @@ class TestClusterTrace:
     def test_span_parentage_survives_merge(self, trace_records):
         spans = _spans(trace_records)
         by_id = {s["id"]: s for s in spans}
-        # Dispatcher side: the fused sweep's gather/assemble stages sit
+        # Dispatcher side: the sweep's gather/assemble stages sit
         # under the conflict_build phase of the same iteration.
         gathers = [s for s in spans if s["name"] == "sweep.gather"]
         assert gathers

@@ -22,8 +22,8 @@ class ShmRegionScopeRule(Rule):
     name = "shm-region-scope"
     contract = (
         "SharedMemory(create=True)/ShmCooRegion.create live only in "
-        "repro.parallel.shm, whose region pool and context managers "
-        "guarantee unlink on every path — a leaked segment survives "
+        "repro.parallel.shm, whose gather context manager "
+        "guarantees unlink on every path — a leaked segment survives "
         "the process"
     )
     scope = ("src/repro/",)
@@ -44,7 +44,7 @@ class ShmRegionScopeRule(Rule):
                     ctx,
                     node,
                     "ShmCooRegion.create() outside repro.parallel.shm: "
-                    "allocate through shm_conflict_gather/ShmRegionPool "
+                    "allocate through shm_conflict_gather "
                     "so the segment is unlinked on every path",
                 )
                 continue
