@@ -135,11 +135,16 @@ class TestIterationTrace:
             "assignment", "conflict_graph", "conflict_coloring",
             "sweep", "assemble", "edge_sweep",
         }
-        # The build splits into its sweep/assemble sub-buckets, and the
-        # dispatcher's degree scan + relabel is measured on its own.
+        # The build splits into its sweep/assemble sub-buckets.
         assert phases["sweep"] > 0.0
         assert phases["assemble"] > 0.0
-        assert phases["edge_sweep"] > 0.0
+
+    def test_unfused_edge_sweep_measured(self):
+        # The degree scan + relabel is a pass of its own after the
+        # build, not fused into it, so its bucket is measured.
+        ps = random_pauli_set(100, 6, seed=7)
+        r = picasso_color(ps, seed=0)
+        assert r.phase_times()["edge_sweep"] > 0.0
 
     def test_active_counts_decrease(self):
         ps = random_pauli_set(150, 6, seed=8)

@@ -95,24 +95,23 @@ class TestConflictCSREquivalence:
 
 
 class TestPicassoEquivalence:
-    def test_sweep_coloring_identical_per_seed(self, cluster):
+    @pytest.mark.parametrize("gather", ["pickled", "shm"])
+    def test_sweep_coloring_identical_per_seed(self, cluster, gather):
         """End-to-end Algorithm 1 with the default greedy-dynamic
-        coloring: serial, pool (pickled and shm gather) and cluster
+        coloring: serial, pool (pickled or shm gather) and cluster
         draw identical graphs, so the coloring is identical per seed."""
         ps = random_pauli_set(150, 8, seed=9)
         serial = Picasso(params=PicassoParams(), seed=11).color(ps)
         pool = Picasso(
-            params=PicassoParams(n_workers=_CI_WORKERS), seed=11
-        ).color(ps)
-        pool_shm = Picasso(
-            params=PicassoParams(n_workers=_CI_WORKERS, shm_gather=True),
+            params=PicassoParams(
+                n_workers=_CI_WORKERS, shm_gather=gather == "shm"
+            ),
             seed=11,
         ).color(ps)
         dist = Picasso(
             params=PicassoParams(hosts=cluster.hosts), seed=11
         ).color(ps)
         np.testing.assert_array_equal(serial.colors, pool.colors)
-        np.testing.assert_array_equal(serial.colors, pool_shm.colors)
         np.testing.assert_array_equal(serial.colors, dist.colors)
         assert serial.n_colors == dist.n_colors
 

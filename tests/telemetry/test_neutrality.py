@@ -67,20 +67,23 @@ def _assert_neutral(on, off):
     assert off.telemetry is None
 
 
+# The classic conflict pipeline (build, then degree scan and relabel)
+# is the only one; the id keeps each case's name stable across releases.
+@pytest.mark.parametrize("pipeline", ["classic"])
 class TestNeutrality:
-    def test_serial(self):
+    def test_serial(self, pipeline):
         ps = random_pauli_set(150, 6, seed=11)
         on = _run(ps, telemetry_on=True, n_workers=1)
         off = _run(ps, telemetry_on=False, n_workers=1)
         _assert_neutral(on, off)
 
-    def test_pool(self):
+    def test_pool(self, pipeline):
         ps = random_pauli_set(150, 6, seed=11)
         on = _run(ps, telemetry_on=True, n_workers=_CI_WORKERS)
         off = _run(ps, telemetry_on=False, n_workers=_CI_WORKERS)
         _assert_neutral(on, off)
 
-    def test_cluster(self, cluster):
+    def test_cluster(self, pipeline, cluster):
         ps = random_pauli_set(150, 6, seed=11)
         on = _run(ps, telemetry_on=True, hosts=cluster.hosts)
         off = _run(ps, telemetry_on=False, hosts=cluster.hosts)
