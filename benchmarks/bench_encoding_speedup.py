@@ -101,7 +101,7 @@ def test_tiled_vs_gather_sweep(benchmark):
         return total
 
     def tiled_count():
-        tile = tile_edge(packed.shape[1], n=n)
+        tile = tile_edge(n=n)
         total = 0
         for i, _ in sweep_block_hits(
             n, lambda r0, r1, c0, c1: anticommute_parity_block(packed, r0, r1, c0, c1), tile

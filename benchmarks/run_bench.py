@@ -1,10 +1,8 @@
-"""Perf-trajectory entry point: engines, backends, gathers and coloring.
+"""Perf-trajectory entry point: backends, gathers and coloring engines.
 
 Runs ``Picasso.color`` end to end on random Pauli sets across the axes
 grown so far:
 
-- **pair-sweep engine** — ``tiled`` block-broadcast kernels vs the
-  legacy ``pairs`` gather kernels;
 - **execution backend / gather** — serial, a ``--workers``-sized
   persistent pool with the pickled result gather, and the same pool
   with the zero-copy shared-memory gather;
@@ -78,7 +76,7 @@ Usage::
     PYTHONPATH=src python benchmarks/run_bench.py               # incl. 10k headline
     PYTHONPATH=src python benchmarks/run_bench.py --workers 4
     PYTHONPATH=src python benchmarks/run_bench.py --quick       # small sizes only
-    PYTHONPATH=src python benchmarks/run_bench.py --color-engine sets
+    PYTHONPATH=src python benchmarks/run_bench.py --color-engine greedy-static
 """
 
 from __future__ import annotations
@@ -189,13 +187,12 @@ def telemetry_probe(pauli_set, hosts: str, workers: int, seed: int) -> tuple[dic
     try:
         Picasso(
             params=PicassoParams(
-                engine="tiled", n_workers=workers, shm_gather=True,
-                telemetry=True,
+                n_workers=workers, shm_gather=True, telemetry=True
             ),
             seed=seed,
         ).color(pauli_set)
         Picasso(
-            params=PicassoParams(engine="tiled", hosts=hosts, telemetry=True),
+            params=PicassoParams(hosts=hosts, telemetry=True),
             seed=seed,
         ).color(pauli_set)
         snap = telemetry.snapshot()
@@ -355,20 +352,15 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
     for name, n, nq in cases:
         pauli_set = random_pauli_set(n, nq, seed=0)
         # PR 1-3 axes (greedy-dynamic coloring throughout).
-        tiled = run_config(pauli_set, PicassoParams(engine="tiled"), args.seed)
+        tiled = run_config(pauli_set, PicassoParams(), args.seed)
         tiled_par = run_config(
-            pauli_set,
-            PicassoParams(engine="tiled", n_workers=args.workers),
-            args.seed,
+            pauli_set, PicassoParams(n_workers=args.workers), args.seed
         )
         tiled_shm = run_config(
             pauli_set,
-            PicassoParams(
-                engine="tiled", n_workers=args.workers, shm_gather=True
-            ),
+            PicassoParams(n_workers=args.workers, shm_gather=True),
             args.seed,
         )
-        gather = run_config(pauli_set, PicassoParams(engine="pairs"), args.seed)
         # PR 9 axis: the serial tiled iterate on the compiled kernel
         # backend.  On hosts without numba this row is skipped (not run
         # on the silent numpy fallback, which would report a fake 1.0x).
@@ -376,7 +368,7 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
         if kernel_backend != "numpy":
             tiled_compiled = run_config(
                 pauli_set,
-                PicassoParams(engine="tiled", kernel_backend=kernel_backend),
+                PicassoParams(kernel_backend=kernel_backend),
                 args.seed,
             )
         # PR 4 axis: the selected coloring engine, rounds in-process vs
@@ -384,13 +376,12 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
         # the full parallel iterate: sweep and color on one pool).
         color_serial = run_config(
             pauli_set,
-            PicassoParams(engine="tiled", color_engine=args.color_engine),
+            PicassoParams(color_engine=args.color_engine),
             args.seed,
         )
         color_pool = run_config(
             pauli_set,
             PicassoParams(
-                engine="tiled",
                 color_engine=args.color_engine,
                 n_workers=args.workers,
                 shm_gather=True,
@@ -403,7 +394,7 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
         # backend.
         cluster_row = run_config(
             pauli_set,
-            PicassoParams(engine="tiled", hosts=hosts),
+            PicassoParams(hosts=hosts),
             args.seed,
         )
         # PR 6 axis: the same serial run snapshotting every iteration —
@@ -413,15 +404,13 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
             checkpointed = run_config(
                 pauli_set,
                 PicassoParams(
-                    engine="tiled",
                     checkpoint_dir=ckpt_dir,
                     checkpoint_every=1,
                 ),
                 args.seed,
             )
         identical = bool(
-            np.array_equal(tiled["colors"], gather["colors"])
-            and np.array_equal(tiled["colors"], tiled_par["colors"])
+            np.array_equal(tiled["colors"], tiled_par["colors"])
             and np.array_equal(tiled["colors"], tiled_shm["colors"])
             and np.array_equal(tiled["colors"], cluster_row["colors"])
             and np.array_equal(tiled["colors"], checkpointed["colors"])
@@ -441,7 +430,7 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
             color_serial["n_colors"] == color_pool["n_colors"]
         )
         for row in (
-            tiled, tiled_par, tiled_shm, gather,
+            tiled, tiled_par, tiled_shm,
             color_serial, color_pool, cluster_row, checkpointed,
             *([tiled_compiled] if tiled_compiled else []),
         ):
@@ -452,7 +441,6 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
             / max(tiled["total_s"], 1e-9),
             2,
         )
-        engine_speedup = gather["total_s"] / max(tiled["total_s"], 1e-9)
         workers_build_speedup = tiled["conflict_build_s"] / max(
             tiled_par["conflict_build_s"], 1e-9
         )
@@ -493,7 +481,6 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
             "tiled": tiled,
             "tiled_parallel": tiled_par,
             "tiled_parallel_shm": tiled_shm,
-            "gather": gather,
             "color_serial": color_serial,
             "color_pool": color_pool,
             "cluster": cluster_row,
@@ -513,7 +500,6 @@ def _run_cases(args, report, hosts, cases, kernel_backend) -> int:
             "dispatcher_serial_fraction": greedy_phases[
                 "dispatcher_serial_fraction"
             ],
-            "engine_speedup": round(engine_speedup, 2),
             "workers_build_speedup": round(workers_build_speedup, 2),
             "shm_gather_build_speedup": round(shm_gather_build_speedup, 2),
             # >1 needs real extra hosts; on one box this is transport

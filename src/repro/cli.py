@@ -134,8 +134,6 @@ def _make_params(args: argparse.Namespace):
         overrides["color_engine"] = args.color_engine
     if getattr(args, "hosts", None) is not None:
         overrides["hosts"] = args.hosts
-    if getattr(args, "transport", None) is not None:
-        overrides["transport"] = args.transport
     if getattr(args, "checkpoint_dir", None) is not None:
         overrides["checkpoint_dir"] = args.checkpoint_dir
     if getattr(args, "checkpoint_every", None) is not None:
@@ -410,20 +408,15 @@ def build_parser() -> argparse.ArgumentParser:
         "host); distributed builds and colorings are bit-identical "
         "to serial per seed",
     )
-    p.add_argument(
-        "--transport", default=None, choices=["socket"],
-        help="wire protocol for --hosts (default socket: "
-        "length-prefixed frames, numpy buffers sent raw)",
-    )
     from repro.coloring.engine import available_engines
 
     p.add_argument(
         "--color-engine", default=None, dest="color_engine",
         choices=["auto", *available_engines()],
         help="Algorithm 2 implementation for the conflict coloring "
-        "(registry name; default auto pairs greedy-dynamic with the "
-        "tiled engine and sets with pairs; parallel-list runs "
-        "round-synchronous rounds on the worker pool)",
+        "(registry name; default auto picks greedy-dynamic; "
+        "parallel-list runs round-synchronous rounds on the worker "
+        "pool)",
     )
     p.add_argument(
         "--checkpoint-dir", default=None, dest="checkpoint_dir",

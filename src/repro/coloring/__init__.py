@@ -4,8 +4,8 @@ Two families live here:
 
 - **List-coloring engines** (the paper's Algorithm 2 and its parallel
   analog) behind the :mod:`repro.coloring.engine` registry —
-  ``greedy-dynamic`` / ``sets`` / ``greedy-static`` /
-  ``parallel-list`` — selected by the Picasso driver via
+  ``greedy-dynamic`` / ``greedy-static`` / ``parallel-list`` —
+  selected by the Picasso driver via
   ``PicassoParams(color_engine=...)``.  Serial machinery in
   :mod:`repro.coloring.greedy_list`, the round-synchronous engine in
   :mod:`repro.coloring.parallel_list`.

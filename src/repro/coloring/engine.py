@@ -1,4 +1,4 @@
-"""Unified coloring-engine subsystem: one interface, a registry, four engines.
+"""Unified coloring-engine subsystem: one interface, a registry, three engines.
 
 Algorithm 2 (list coloring of the conflict graph) used to be hard-wired
 into the Picasso driver, with the round-synchronous parallel analogs
@@ -19,8 +19,6 @@ Engines:
 ======================  =====================================================
 ``greedy-dynamic``      Algorithm 2 on packed bitsets with bucket queues
                         (the paper's choice; serial, best quality)
-``sets``                the Python-``set`` reference implementation —
-                        bit-identical to ``greedy-dynamic`` per seed
 ``greedy-static``       fixed-order list coloring (``order`` knob:
                         natural / random / lf) — the §IV-B ablation
 ``parallel-list``       round-synchronous speculative/JP list coloring on
@@ -44,7 +42,6 @@ import numpy as np
 
 from repro.coloring.greedy_list import (
     greedy_list_color_dynamic,
-    greedy_list_color_dynamic_sets,
     greedy_list_color_static,
 )
 from repro.coloring.parallel_list import parallel_list_color
@@ -180,34 +177,6 @@ class GreedyDynamicEngine(ListColoringEngine):
         scratch = masks_nbytes + 3 * gc.n_vertices * 8
         with self._scratch(device, scratch):
             colors, vu = greedy_list_color_dynamic(gc, col_lists, rng)
-        peak = gc.nbytes + scratch + colors.nbytes
-        return ListColoringOutcome(
-            colors=colors, uncolored=vu, engine=self.name,
-            n_rounds=1, peak_bytes=int(peak),
-        )
-
-
-@register_engine
-class GreedySetsEngine(ListColoringEngine):
-    """The Python-``set`` Algorithm 2 reference (seeded-equivalence)."""
-
-    name = "sets"
-
-    def color(
-        self,
-        gc: CSRGraph,
-        col_lists: np.ndarray,
-        rng: np.random.Generator | int | None = None,
-        executor: Executor | None = None,
-        device: DeviceSim | None = None,
-    ) -> ListColoringOutcome:
-        col_lists = np.asarray(col_lists)
-        # Python sets cost far more than packed words; charge the
-        # classic ~64 B/entry estimate so the ledger reflects why the
-        # bitset engine replaced this one.
-        scratch = int(col_lists.size) * 64 + 3 * gc.n_vertices * 8
-        with self._scratch(device, scratch):
-            colors, vu = greedy_list_color_dynamic_sets(gc, col_lists, rng)
         peak = gc.nbytes + scratch + colors.nbytes
         return ListColoringOutcome(
             colors=colors, uncolored=vu, engine=self.name,

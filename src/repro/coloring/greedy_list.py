@@ -19,10 +19,10 @@ Three schemes:
   bucket queues (value = list size) with O(1) swap-removal — no Python
   ``set`` objects or list-of-lists on the hot path.
 - :func:`greedy_list_color_dynamic_sets` — the original Python-``set``
-  implementation, kept as the seeded-equivalence reference and as the
-  legacy half of the tiled-vs-gather ablation.  Both dynamic variants
-  draw the same random numbers and make identical choices, so they
-  produce identical colorings for a given seed (property-tested).
+  implementation, kept as the seeded-equivalence reference.  Both
+  dynamic variants draw the same random numbers and make identical
+  choices, so they produce identical colorings for a given seed
+  (property-tested).
 - :func:`greedy_list_color_static` — process vertices in a fixed order
   (natural / random / largest-degree-first), taking the first list
   color not used by an already-colored neighbor.  The paper reports
@@ -199,8 +199,8 @@ def greedy_list_color_dynamic_sets(
     Structurally the original implementation (per-vertex ``set`` state,
     list-of-lists buckets); random draws are canonicalized to ascending
     candidate order so :func:`greedy_list_color_dynamic` reproduces its
-    output exactly for any seed.  Used by tests and as the legacy half
-    of the tiled-vs-gather ablation (``engine="pairs"``).
+    output exactly for any seed.  Kept as the reference the tests
+    compare the bitset engine against.
     """
     rng = as_generator(rng)
     n = gc.n_vertices

@@ -6,18 +6,13 @@ are materialized — the sparsity that gives Picasso its sublinear space
 (Lemma 2).  The device path with budget accounting lives in
 :mod:`repro.device.csr_build`; this host path shares the same kernels.
 
-Two sweep engines cover the pair space:
+The pair space is swept by the block-broadcast kernels of
+:mod:`repro.device.tiles`: each ``(row_block, col_block)`` tile loads
+its operand slices once and evaluates the fused intersect-then-edge
+kernel as a word broadcast.  No flat-index inversion, no quadratic row
+gather.
 
-- ``"tiled"`` (default) — the block-broadcast engine of
-  :mod:`repro.device.tiles`: each ``(row_block, col_block)`` tile loads
-  its operand slices once and evaluates the fused intersect-then-edge
-  kernel as a word broadcast.  No flat-index inversion, no quadratic
-  row gather.
-- ``"pairs"`` — the original flat pair-chunk engine (one simulated SIMT
-  thread per pair, operand rows gathered per pair).  Kept as the
-  ablation baseline; produces the identical conflict graph.
-
-Both engines run through an execution backend
+The sweep runs through an execution backend
 (:mod:`repro.parallel.executor`): serial in-process streaming, or a
 process pool that sweeps balanced contiguous strips of the domain and
 gathers results in deterministic strip order.  All paths feed the same
@@ -41,8 +36,6 @@ def build_conflict_graph(
     n: int,
     edge_mask_fn,
     colmasks: np.ndarray,
-    chunk_size: int = 1 << 18,
-    engine: str = "tiled",
     edge_block_fn: EdgeBlockFn | None = None,
     tile_bytes: int = DEFAULT_TILE_BYTES,
     n_workers: int = 1,
@@ -52,7 +45,6 @@ def build_conflict_graph(
     source=None,
     active_idx: np.ndarray | None = None,
     hosts=None,
-    transport: str = "socket",
     timings: dict | None = None,
     kernel_backend: str | None = None,
 ) -> tuple[CSRGraph, int]:
@@ -63,16 +55,11 @@ def build_conflict_graph(
     n, edge_mask_fn, colmasks:
         Active vertex count, pairwise edge oracle, packed palette
         bitsets.
-    chunk_size:
-        Pairs per launch for the ``"pairs"`` engine.
-    engine:
-        ``"tiled"`` (block-broadcast sweep) or ``"pairs"`` (flat
-        pair-chunk gather sweep, the ablation baseline).
     edge_block_fn:
-        Optional block edge oracle for the tiled engine (dense tiles
-        then skip the pairwise survivor gather entirely).
+        Optional block edge oracle (dense tiles then skip the pairwise
+        survivor gather entirely).
     tile_bytes:
-        Per-tile scratch budget for the tiled engine.
+        Per-tile scratch budget.
     n_workers:
         Worker processes for the sweep (1 = serial streaming).
     executor:
@@ -97,9 +84,9 @@ def build_conflict_graph(
         Root edge source and active-vertex indices for the
         persistent-pool delta payload (see
         :mod:`repro.parallel.pool`).
-    hosts, transport:
-        Worker-agent addresses and wire protocol for the distributed
-        backend (spec ``"cluster"``, or ``"auto"`` with hosts set; see
+    hosts:
+        Worker-agent addresses for the distributed backend (spec
+        ``"cluster"``, or ``"auto"`` with hosts set; see
         :mod:`repro.distributed`).  Sharded builds stay bit-identical
         to serial — strips merge in canonical order.
     timings:
@@ -112,11 +99,9 @@ def build_conflict_graph(
 
     Returns the CSR conflict graph and the conflict-edge count.
     """
-    with owned_executor(
-        executor, n_workers, hosts=hosts, transport=transport
-    ) as ex:
+    with owned_executor(executor, n_workers, hosts=hosts) as ex:
         return gathered_conflict_csr(
-            n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
+            n, edge_mask_fn, colmasks, edge_block_fn,
             tile_bytes=tile_bytes, executor=ex, shm=shm,
             est_conflict_edges=est_conflict_edges,
             source=source, active_idx=active_idx, timings=timings,
@@ -140,24 +125,19 @@ def count_conflict_edges(
     n: int,
     edge_mask_fn,
     colmasks: np.ndarray,
-    chunk_size: int = 1 << 18,
-    engine: str = "tiled",
     edge_block_fn: EdgeBlockFn | None = None,
     tile_bytes: int = DEFAULT_TILE_BYTES,
     n_workers: int = 1,
     executor: str | Executor = "auto",
     hosts=None,
-    transport: str = "socket",
     kernel_backend: str | None = None,
 ) -> int:
     """Conflict-edge count without materializing the graph (parameter
     sweeps, Fig. 5's ``max |Ec|`` heatmap)."""
-    with owned_executor(
-        executor, n_workers, hosts=hosts, transport=transport
-    ) as ex:
+    with owned_executor(executor, n_workers, hosts=hosts) as ex:
         total = 0
         for i, _ in conflict_sweep_chunks(
-            n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
+            n, edge_mask_fn, colmasks, edge_block_fn,
             tile_bytes=tile_bytes, executor=ex,
             kernel_backend=kernel_backend,
         ):

@@ -32,20 +32,10 @@ class PicassoParams:
         If an iteration colors nothing, multiply the palette fraction
         by this factor for subsequent iterations (implementation detail
         guaranteeing termination; 1.0 disables).
-    chunk_size:
-        Pairs per kernel launch in conflict-graph construction
-        (``"pairs"`` engine only).
-    engine:
-        Pair-sweep engine: ``"tiled"`` (default — the block-broadcast
-        kernel engine of :mod:`repro.device.tiles`, with the bitset
-        Algorithm 2) or ``"pairs"`` (the original flat pair-chunk
-        gather kernels plus the Python-set Algorithm 2, kept as the
-        ablation baseline).  Both engines build identical conflict
-        graphs and draw identical random numbers, so colorings match
-        for a given seed.
     tile_budget_bytes:
-        Per-tile scratch budget for the tiled engine (sets the tile
-        edge; see :func:`repro.device.tiles.tile_edge`).  A sizing
+        Per-tile scratch budget for the block-broadcast pair sweep of
+        :mod:`repro.device.tiles` (sets the tile edge; see
+        :func:`repro.device.tiles.tile_edge`).  A sizing
         hint, not a hard cap: the tile edge never drops below the
         64-row minimum, so budgets under ~41 KB are exceeded.
     n_workers:
@@ -80,10 +70,9 @@ class PicassoParams:
     color_engine:
         Which Algorithm 2 implementation colors the conflict graph
         (:mod:`repro.coloring.engine` registry).  ``"auto"`` (default)
-        keeps the historical pairing — the bitset ``greedy-dynamic``
-        for the tiled engine, the ``sets`` reference for the pairs
-        ablation, ``greedy-static`` when ``conflict_order`` names a
-        static order.  ``"parallel-list"`` selects the
+        picks the bitset ``greedy-dynamic``, or ``greedy-static`` when
+        ``conflict_order`` names a static order.  ``"parallel-list"``
+        selects the
         round-synchronous speculative engine, whose rounds dispatch
         over the run's executor (sweep *and* color then share one
         persistent pool); output is deterministic per seed for any
@@ -103,9 +92,6 @@ class PicassoParams:
         shard count — like ``n_workers``, purely a throughput knob.
         ``shm_gather`` is ignored for cluster backends (shared memory
         does not cross hosts).
-    transport:
-        Wire protocol for the distributed backend; ``"socket"`` (the
-        length-prefixed raw-buffer protocol) is the only one today.
     checkpoint_dir:
         Directory for atomic snapshots of Algorithm 1 state
         (:mod:`repro.resilience.checkpoint`).  ``None`` (default)
@@ -167,9 +153,7 @@ class PicassoParams:
     conflict_order: str = "dynamic"
     max_iterations: int = 200
     grow_on_stall: float = 2.0
-    chunk_size: int = 1 << 18
     min_palette: int = 1
-    engine: str = "tiled"
     tile_budget_bytes: int = 1 << 24
     n_workers: int = 1
     executor: str = "auto"
@@ -178,7 +162,6 @@ class PicassoParams:
     color_engine: str = "auto"
     color_max_rounds: int | None = None
     hosts: str | tuple | None = None
-    transport: str = "socket"
     checkpoint_dir: str | None = None
     checkpoint_every: int = 1
     resume: bool = False
@@ -198,18 +181,12 @@ class PicassoParams:
             raise ValueError("max_iterations must be >= 1")
         if self.grow_on_stall < 1.0:
             raise ValueError("grow_on_stall must be >= 1.0")
-        if self.engine not in ("tiled", "pairs"):
-            raise ValueError(f"unknown engine {self.engine!r}")
         if self.tile_budget_bytes < 1:
             raise ValueError("tile_budget_bytes must be positive")
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if self.executor not in ("auto", "serial", "pool", "cluster"):
             raise ValueError(f"unknown executor {self.executor!r}")
-        if self.transport != "socket":
-            raise ValueError(
-                f"unknown transport {self.transport!r} (available: 'socket')"
-            )
         if self.hosts is not None:
             if self.executor not in ("auto", "cluster"):
                 raise ValueError(
@@ -270,15 +247,15 @@ class PicassoParams:
     def resolved_color_engine(self) -> str:
         """The registry name ``color_engine="auto"`` resolves to.
 
-        Preserves the historical pairing (bitset engine on ``tiled``,
-        set reference on ``pairs``, static engine under a static
-        ``conflict_order``); an explicit engine name passes through.
+        The bitset ``greedy-dynamic``, or ``greedy-static`` under a
+        static ``conflict_order``; an explicit engine name passes
+        through.
         """
         if self.color_engine != "auto":
             return self.color_engine
         if self.conflict_order != "dynamic":
             return "greedy-static"
-        return "greedy-dynamic" if self.engine == "tiled" else "sets"
+        return "greedy-dynamic"
 
     def color_engine_knobs(self) -> dict:
         """Constructor knobs for the resolved engine."""

@@ -184,8 +184,8 @@ class Picasso:
         # same results, bounded failures recovered instead of raised.
         executor = supervised_executor(
             params.executor, params.n_workers, pin=params.pin_workers,
-            hosts=params.hosts, transport=params.transport,
-            failover=params.failover, max_retries=params.max_retries,
+            hosts=params.hosts, failover=params.failover,
+            max_retries=params.max_retries,
         )
         try:
             return self._color_source_with(source, executor)
@@ -267,7 +267,7 @@ class Picasso:
             t_assign = telemetry.clock() - t0
 
             # Line 7: conflict graph (only conflicted edges materialize).
-            # The tiled engine consumes the source's block oracle when
+            # The tiled sweep consumes the source's block oracle when
             # it has one (Pauli sources do; dense tiles then skip the
             # pairwise survivor gather).  The *root* source plus the
             # global active indices ride along so a persistent pool can
@@ -291,8 +291,6 @@ class Picasso:
                         active_source.edge_mask,
                         colmasks,
                         self.device,
-                        chunk_size=params.chunk_size,
-                        engine=params.engine,
                         edge_block_fn=edge_block_fn,
                         tile_bytes=params.tile_budget_bytes,
                         executor=executor,
@@ -309,8 +307,6 @@ class Picasso:
                         n,
                         active_source.edge_mask,
                         colmasks,
-                        chunk_size=params.chunk_size,
-                        engine=params.engine,
                         edge_block_fn=edge_block_fn,
                         tile_bytes=params.tile_budget_bytes,
                         executor=executor,

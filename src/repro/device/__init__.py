@@ -9,6 +9,7 @@ reproduce the paper's control flow.
 from repro.device.csr_build import BuildStats, build_conflict_csr
 from repro.device.multi import MultiBuildStats, build_conflict_csr_multi
 from repro.device.kernels import (
+    conflict_pair_hits,
     conflict_pair_kernel,
     conflict_pair_kernel_python,
     exclusive_scan,
@@ -40,6 +41,7 @@ __all__ = [
     "build_conflict_csr",
     "MultiBuildStats",
     "build_conflict_csr_multi",
+    "conflict_pair_hits",
     "conflict_pair_kernel",
     "conflict_pair_kernel_python",
     "exclusive_scan",

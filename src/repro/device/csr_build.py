@@ -18,12 +18,12 @@ as §V describes.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.device.kernels import EdgeMaskFn, exclusive_scan
+from repro.device.kernels import EdgeMaskFn, conflict_pair_hits, exclusive_scan
 from repro.device.sim import DeviceSim
 from repro.device.tiles import (
     DEFAULT_TILE_BYTES,
@@ -45,7 +45,8 @@ class BuildStats:
     built_on_device: bool
     device_peak_bytes: int
     coo_capacity_edges: int
-    engine: str = "pairs"
+    #: ``"tiled"``, or ``"pairs"`` when the flat-kernel fallback ran.
+    engine: str = "tiled"
     n_workers: int = 1
     gather: str = "pickle"
 
@@ -55,8 +56,6 @@ def build_conflict_csr(
     edge_mask_fn: EdgeMaskFn,
     colmasks: np.ndarray,
     device: DeviceSim,
-    chunk_size: int = 1 << 18,
-    engine: str = "tiled",
     edge_block_fn: EdgeBlockFn | None = None,
     tile_bytes: int = DEFAULT_TILE_BYTES,
     n_workers: int = 1,
@@ -80,20 +79,16 @@ def build_conflict_csr(
     device:
         Budgeted device; raises :class:`DeviceOutOfMemory` when the COO
         buffer cannot hold the conflict edges.
-    chunk_size:
-        Pairs per kernel launch (``"pairs"`` engine).
-    engine:
-        ``"tiled"`` block-broadcast sweep (default) or ``"pairs"`` flat
-        chunks.  The tiled engine's block scratch is a named device
-        allocation sized against the remaining budget *before* the COO
-        buffer takes the rest; if even a minimum tile cannot fit
-        alongside a useful COO buffer the build degrades to the
-        scratch-free pair engine (mirroring Algorithm 3's own
-        device/host fallback discipline).
     edge_block_fn:
-        Optional block edge oracle for the tiled engine.
+        Optional block edge oracle for the tiled sweep.
     tile_bytes:
-        Upper bound on the tile scratch allocation *per worker*.
+        Upper bound on the tile scratch allocation *per worker*.  The
+        tile scratch is a named device allocation sized against the
+        remaining budget *before* the COO buffer takes the rest; if
+        even a minimum tile cannot fit alongside a useful COO buffer,
+        the build degrades to the scratch-free flat pair kernel, run
+        in-process (mirroring Algorithm 3's own device/host fallback
+        discipline).
     n_workers:
         Worker processes for the sweep; every worker owns a private
         tile scratch, so the device is charged ``n_workers`` times the
@@ -127,20 +122,19 @@ def build_conflict_csr(
     """
     with owned_executor(executor, n_workers) as ex:
         return _algorithm3(
-            n, edge_mask_fn, colmasks, device, chunk_size, engine,
-            edge_block_fn, tile_bytes, ex, shm, est_conflict_edges,
+            n, edge_mask_fn, colmasks, device, edge_block_fn,
+            tile_bytes, ex, shm, est_conflict_edges,
             source, active_idx, kernel_backend,
         )
 
 
 def _algorithm3(
-    n, edge_mask_fn, colmasks, device, chunk_size, engine, edge_block_fn,
+    n, edge_mask_fn, colmasks, device, edge_block_fn,
     tile_bytes, ex, shm, est_conflict_edges, source, active_idx,
     kernel_backend=None,
 ) -> tuple[CSRGraph, BuildStats]:
     """Algorithm 3 proper, against an already-resolved executor."""
     workers = max(1, ex.n_workers)
-    use_shm = shm and ex.supports_shm_gather
 
     # All build allocations go through DeviceSim.scratch on one
     # ExitStack — the same named-allocation discipline the coloring
@@ -161,29 +155,25 @@ def _algorithm3(
         # Tile scratch: reserved ahead of the COO buffer (which takes
         # all remaining memory).  At most a quarter of what is left —
         # split across workers, each of which owns a private scratch —
-        # so the COO stream keeps the lion's share; degrade to the pair
-        # engine when a minimum tile per worker would not fit.
-        tile = None
-        if engine == "tiled":
-            candidate = tile_edge(
-                colmasks.shape[1],
-                min(tile_bytes, device.available // 4 // workers),
-                n=n,
-            )
-            # The block edge oracle (dense-tile path) brings its own
-            # (R, C) temporaries on top of the TileScratch buffers —
-            # charge both, for every worker, so the simulated peak
-            # stays honest.
-            scratch = (
-                tile_scratch_bytes(candidate)
-                * (2 if edge_block_fn else 1)
-                * workers
-            )
-            if scratch <= device.available // 2:
-                allocs.enter_context(device.scratch("tile_scratch", scratch))
-                tile = candidate
-            else:
-                engine = "pairs"
+        # so the COO stream keeps the lion's share; degrade to the
+        # in-process flat pair kernel when a minimum tile per worker
+        # would not fit.
+        tile = tile_edge(
+            min(tile_bytes, device.available // 4 // workers), n=n
+        )
+        # The block edge oracle (dense-tile path) brings its own (R, C)
+        # temporaries on top of the TileScratch buffers — charge both,
+        # for every worker, so the simulated peak stays honest.
+        scratch = (
+            tile_scratch_bytes(tile) * (2 if edge_block_fn else 1) * workers
+        )
+        if scratch <= device.available // 2:
+            allocs.enter_context(device.scratch("tile_scratch", scratch))
+        else:
+            tile = None
+        # The fallback sweeps in-process, so nothing crosses a pipe and
+        # no shm staging is needed.
+        use_shm = shm and ex.supports_shm_gather and tile is not None
 
         # Shm staging must be budgeted *before* the COO buffer takes
         # all remaining memory, or the mandatory staging allocation
@@ -232,14 +222,18 @@ def _algorithm3(
         coo_u = np.empty(capacity, dtype=id_dtype)
         coo_v = np.empty(capacity, dtype=id_dtype)
         n_edges = 0
-        with conflict_hit_chunks(
-            n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
-            tile=tile, executor=ex, shm=shm,
-            est_conflict_edges=est_conflict_edges,
-            source=source, active_idx=active_idx,
-            region_cb=_charge_shm_region,
-            kernel_backend=kernel_backend,
-        ) as hit_stream:
+        if tile is None:
+            hits = nullcontext(conflict_pair_hits(n, edge_mask_fn, colmasks))
+        else:
+            hits = conflict_hit_chunks(
+                n, edge_mask_fn, colmasks, edge_block_fn,
+                tile=tile, executor=ex, shm=shm,
+                est_conflict_edges=est_conflict_edges,
+                source=source, active_idx=active_idx,
+                region_cb=_charge_shm_region,
+                kernel_backend=kernel_backend,
+            )
+        with hits as hit_stream:
             try:
                 for ei, ej in hit_stream:
                     if n_edges + len(ei) > capacity:
@@ -284,7 +278,7 @@ def _algorithm3(
         built_on_device=on_device,
         device_peak_bytes=device.peak_bytes,
         coo_capacity_edges=int(capacity),
-        engine=engine,
+        engine="pairs" if tile is None else "tiled",
         n_workers=workers,
         gather="shm" if use_shm else "pickle",
     )

@@ -9,11 +9,12 @@ accounted against a :class:`repro.device.sim.DeviceSim` budget.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
 from repro.util.bits import popcount_rows
+from repro.util.chunking import num_pairs, pair_index_to_ij
 
 #: Type of the complement-edge oracle: (i, j) -> uint8 mask (1 = edge of
 #: the graph being colored exists between i and j).
@@ -86,6 +87,34 @@ def conflict_pair_kernel(
         sub_j = j[shared]
         out[shared] = edge_mask_fn(sub_i, sub_j)
     return out
+
+
+def conflict_pair_hits(
+    n: int,
+    edge_mask_fn: EdgeMaskFn,
+    colmasks: np.ndarray,
+    start: int = 0,
+    stop: int | None = None,
+    chunk_size: int = 1 << 18,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Conflict edges of the flat pair slice ``[start, stop)`` (default:
+    all pairs), yielded as one ``(i, j)`` chunk per ``chunk_size`` pairs.
+
+    Runs :func:`conflict_pair_kernel` in flat-index (row-major) order,
+    so the chunks feed :func:`repro.graphs.csr.csr_from_coo_chunks` the
+    same per-vertex arc order as the tiled sweep.  Needs no block
+    scratch — the device build's fallback when a minimum tile does not
+    fit, the multi-device per-slice sweep, and the tests' reference.
+    """
+    if chunk_size <= 0:
+        raise ValueError("chunk_size must be positive")
+    if stop is None:
+        stop = num_pairs(n)
+    for s in range(start, stop, chunk_size):
+        k = np.arange(s, min(s + chunk_size, stop), dtype=np.int64)
+        i, j = pair_index_to_ij(k, n)
+        mask = conflict_pair_kernel(edge_mask_fn, colmasks, i, j).astype(bool)
+        yield i[mask], j[mask]
 
 
 def conflict_pair_kernel_python(

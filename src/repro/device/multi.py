@@ -20,15 +20,15 @@ pin down.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.device.kernels import EdgeMaskFn, conflict_pair_kernel
+from repro.device.kernels import EdgeMaskFn, conflict_pair_hits
 from repro.device.sim import DeviceOutOfMemory, DeviceSim
 from repro.graphs.csr import CSRGraph, csr_from_coo_chunks
-from repro.parallel.partition import partition_pairs
-from repro.util.chunking import pair_index_to_ij
+from repro.parallel.partition import PairRange, partition_pairs
 
 
 @dataclass
@@ -60,8 +60,6 @@ def build_conflict_csr_multi(
     ranges = partition_pairs(n, len(devices))
     # partition_pairs drops empty ranges; align by padding.
     while len(ranges) < len(devices):
-        from repro.parallel.partition import PairRange
-
         ranges.append(PairRange(0, 0))
 
     chunks: list[tuple[np.ndarray, np.ndarray]] = []
@@ -70,24 +68,23 @@ def build_conflict_csr_multi(
     id_dtype = np.int32 if id_bytes == 4 else np.int64
 
     for rank, (dev, rng) in enumerate(zip(devices, ranges)):
-        dev.alloc("colmasks", int(colmasks.nbytes))
-        counter_bytes = 4 if n * n < 2**32 else 8
-        dev.alloc("edge_counters", 2 * n * counter_bytes)
-        coo_bytes = dev.available
-        dev.alloc("coo_edges", coo_bytes)
-        capacity = coo_bytes // (2 * id_bytes)
-        u_buf = np.empty(capacity, dtype=id_dtype)
-        v_buf = np.empty(capacity, dtype=id_dtype)
-        filled = 0
-        try:
-            for start in range(rng.start, rng.stop, chunk_size):
-                stop = min(start + chunk_size, rng.stop)
-                k = np.arange(start, stop, dtype=np.int64)
-                i, j = pair_index_to_ij(k, n)
-                mask = conflict_pair_kernel(edge_mask_fn, colmasks, i, j).astype(
-                    bool
-                )
-                ei, ej = i[mask], j[mask]
+        # One ExitStack for all three buffers: an allocation that raises
+        # must not strand the ones made before it.
+        with ExitStack() as allocs:
+            allocs.enter_context(dev.scratch("colmasks", int(colmasks.nbytes)))
+            counter_bytes = 4 if n * n < 2**32 else 8
+            allocs.enter_context(
+                dev.scratch("edge_counters", 2 * n * counter_bytes)
+            )
+            coo_bytes = dev.available
+            allocs.enter_context(dev.scratch("coo_edges", coo_bytes))
+            capacity = coo_bytes // (2 * id_bytes)
+            u_buf = np.empty(capacity, dtype=id_dtype)
+            v_buf = np.empty(capacity, dtype=id_dtype)
+            filled = 0
+            for ei, ej in conflict_pair_hits(
+                n, edge_mask_fn, colmasks, rng.start, rng.stop, chunk_size
+            ):
                 if filled + len(ei) > capacity:
                     dev.n_ooms += 1
                     raise DeviceOutOfMemory(
@@ -98,10 +95,6 @@ def build_conflict_csr_multi(
                 u_buf[filled : filled + len(ei)] = ei
                 v_buf[filled : filled + len(ej)] = ej
                 filled += len(ei)
-        finally:
-            dev.free("coo_edges")
-            dev.free("edge_counters")
-            dev.free("colmasks")
         chunks.append(
             (
                 u_buf[:filled].astype(np.int64),

@@ -36,9 +36,10 @@ Design notes (the tiling model):
   budget, reserved *before* the COO buffer grabs the remainder
   (:mod:`repro.device.csr_build`).  When the budget is too tight to
   host even a minimum tile alongside the COO stream, the build falls
-  back to the pair-chunk engine, which needs no block scratch — the
-  same graceful degradation Algorithm 3 uses for its device/host CSR
-  choice.
+  back to the flat pair-chunk kernel
+  (:func:`repro.device.kernels.conflict_pair_hits`), which needs no
+  block scratch — the same graceful degradation Algorithm 3 uses for
+  its device/host CSR choice.
 - **Fused conflict kernel.**  :func:`conflict_hits_block` evaluates the
   cheap palette intersection first (the paper's list-intersect early
   exit): only surviving pairs consult the edge oracle, either as a
@@ -78,7 +79,6 @@ __all__ = [
     "block_hits",
     "block_hits_strip",
     "sweep_conflict_hits",
-    "sweep_conflict_chunks",
     "sweep_block_hits",
     "count_block_hits",
 ]
@@ -117,17 +117,15 @@ EdgeBlockFn = Callable[[int, int, int, int], np.ndarray]
 
 
 def tile_edge(
-    n_words: int,
     tile_bytes: int = DEFAULT_TILE_BYTES,
     n: int | None = None,
 ) -> int:
     """Tile edge ``T`` whose scratch fits ``tile_bytes``.
 
-    ``n_words`` is accepted for interface symmetry (and future
-    word-blocked variants) but does not enter the formula — see the
-    module notes on the per-pair scratch model.  ``n`` caps the tile at
-    the problem size so tiny problems do not round up to a 64-wide tile
-    of mostly out-of-range rows.
+    The palette word count does not enter the formula — see the module
+    notes on the per-pair scratch model.  ``n`` caps the tile at the
+    problem size so tiny problems do not round up to a 64-wide tile of
+    mostly out-of-range rows.
 
     The tile edge never drops below :data:`MIN_TILE` (sub-64 tiles are
     all Python overhead), so budgets under
@@ -391,7 +389,7 @@ def sweep_conflict_hits(
     """Run the fused conflict kernel over all upper-triangle tiles,
     yielding one ``(i, j)`` hit pair per tile (possibly empty)."""
     if tile is None:
-        tile = tile_edge(colmasks.shape[1], tile_bytes, n=n)
+        tile = tile_edge(tile_bytes, n=n)
     scratch = TileScratch(tile)
     block_op = (
         backend.conflict_hits_block if backend is not None
@@ -402,40 +400,6 @@ def sweep_conflict_hits(
             colmasks, r0, r1, c0, c1, edge_mask_fn, edge_block_fn,
             scratch=scratch,
         )
-
-
-def sweep_conflict_chunks(
-    n: int,
-    edge_mask_fn,
-    colmasks: np.ndarray,
-    chunk_size: int = 1 << 18,
-    engine: str = "tiled",
-    edge_block_fn: EdgeBlockFn | None = None,
-    tile_bytes: int = DEFAULT_TILE_BYTES,
-    tile: int | None = None,
-    backend: KernelBackend | None = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Engine dispatch for the conflict sweep, shared by the host build
-    (:mod:`repro.core.conflict`) and the device build
-    (:mod:`repro.device.csr_build`): yield ``(i, j)`` conflict-edge
-    chunks from the selected engine (``"tiled"`` block broadcast or
-    ``"pairs"`` flat gather).  ``backend`` dispatches the tiled
-    engine's kernels; the pairs engine is numpy-only (its flat gather
-    is the formulation the compiled kernels exist to replace)."""
-    if engine == "tiled":
-        yield from sweep_conflict_hits(
-            n, colmasks, edge_mask_fn, edge_block_fn,
-            tile=tile, tile_bytes=tile_bytes, backend=backend,
-        )
-    elif engine == "pairs":
-        from repro.device.kernels import conflict_pair_kernel
-        from repro.util.chunking import iter_pair_chunks
-
-        for i, j in iter_pair_chunks(n, chunk_size):
-            mask = conflict_pair_kernel(edge_mask_fn, colmasks, i, j).astype(bool)
-            yield i[mask], j[mask]
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
 
 
 def sweep_block_hits(

@@ -77,7 +77,7 @@ def _block_fn(oracle, want_anticommute: bool):
 def _oracle_tile(pauli_set: PauliSet, chunk_size: int) -> int:
     """Tile edge for an oracle sweep; ``chunk_size`` (pairs per legacy
     launch) doubles as a scratch hint so old callers keep their knob."""
-    return tile_edge(1, min(DEFAULT_TILE_BYTES, 10 * chunk_size), n=pauli_set.n)
+    return tile_edge(min(DEFAULT_TILE_BYTES, 10 * chunk_size), n=pauli_set.n)
 
 
 def _oracle_graph(

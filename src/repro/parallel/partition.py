@@ -3,10 +3,11 @@
 Two decompositions of the same upper-triangular pair domain:
 
 - :func:`partition_pairs` splits the flat index range ``[0, n(n-1)/2)``
-  into balanced contiguous :class:`PairRange` slices — the domain of
-  the ``"pairs"`` gather engine, one simulated SIMT thread per pair.
+  into balanced contiguous :class:`PairRange` slices — the per-device
+  slices of the multi-device build (:mod:`repro.device.multi`), one
+  simulated SIMT thread per pair.
 - :func:`partition_tiles` splits the upper-triangular ``(row_block,
-  col_block)`` grid of the tiled engine (:mod:`repro.device.tiles`)
+  col_block)`` grid of the tiled sweep (:mod:`repro.device.tiles`)
   into balanced contiguous :class:`TileBlock` strips.  Tiles keep their
   canonical row-major order inside each strip, so a parallel sweep that
   concatenates strip results in strip order reproduces the serial
@@ -61,46 +62,20 @@ def _check_shares(shares: ShareSpec, n_parts: int) -> np.ndarray:
     return arr
 
 
-def partition_pairs(
-    n: int,
-    n_parts: int,
-    shares: ShareSpec | None = None,
-    keep_empty: bool = False,
-) -> list[PairRange]:
+def partition_pairs(n: int, n_parts: int) -> list[PairRange]:
     """Split the pair space of ``n`` vertices into ``n_parts`` balanced
-    contiguous ranges (sizes differ by at most one pair).
-
-    With ``shares`` (one positive integer per part), each range's size
-    is instead proportional to its share: boundaries sit where the pair
-    prefix crosses ``total * cumsum(shares) / sum(shares)``, so every
-    part's size is within one pair of its ideal weighted quota.
-
-    ``keep_empty`` keeps zero-length ranges in place (always exactly
-    ``n_parts`` entries) — required by the capacity-weighted positional
-    deal, where part ``k`` must stay at index ``k``.
-    """
+    contiguous ranges (sizes differ by at most one pair).  Empty ranges
+    are dropped; a degenerate pair space yields one empty range."""
     if n_parts < 1:
         raise ValueError("n_parts must be >= 1")
     total = num_pairs(n)
     out: list[PairRange] = []
-    if shares is None:
-        base, extra = divmod(total, n_parts)
-        start = 0
-        for k in range(n_parts):
-            size = base + (1 if k < extra else 0)
-            out.append(PairRange(start, start + size))
-            start += size
-    else:
-        arr = _check_shares(shares, n_parts)
-        csum = np.cumsum(arr)
-        share_total = int(csum[-1])
-        bounds = [0] + [
-            int(total * int(c) // share_total) for c in csum
-        ]
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            out.append(PairRange(a, b))
-    if keep_empty:
-        return out
+    base, extra = divmod(total, n_parts)
+    start = 0
+    for k in range(n_parts):
+        size = base + (1 if k < extra else 0)
+        out.append(PairRange(start, start + size))
+        start += size
     return [r for r in out if len(r) > 0] or [PairRange(0, 0)]
 
 

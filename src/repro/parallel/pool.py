@@ -4,18 +4,14 @@ The paper provides "a sequential and a parallel implementation" (§I);
 its CPU parallelism is shared-memory threads over pair chunks.  Python
 processes substitute for threads (the GIL rules those out for compute).
 This module is the seam where every conflict/graph sweep meets an
-:class:`~repro.parallel.executor.Executor`:
-
-- the ``"tiled"`` engine partitions the upper-triangular tile grid into
-  balanced contiguous :class:`~repro.parallel.partition.TileBlock`
-  strips, each worker runs the fused block-broadcast kernel over its
-  strip and returns one concatenated ``(i, j)`` hit pair;
-- the ``"pairs"`` engine partitions the flat index range into
-  :class:`~repro.parallel.partition.PairRange` slices and runs the
-  legacy gather kernel over each.
+:class:`~repro.parallel.executor.Executor`: the upper-triangular tile
+grid is partitioned into balanced contiguous
+:class:`~repro.parallel.partition.TileBlock` strips, and each worker
+runs the fused block-broadcast kernel over its strip and returns one
+concatenated ``(i, j)`` hit pair.
 
 Payload shipping is two-tier for the persistent pool.  The payload is
-split into a **static** part (the edge source / oracle and engine
+split into a **static** part (the edge source / oracle and kernel
 configuration — constant across Algorithm 1 iterations when the caller
 passes the *root* ``source``) and a per-sweep **delta** (the packed
 color masks, the active-vertex indices and the tile size).  The static
@@ -63,16 +59,12 @@ from repro.device.tiles import (
     block_hits_strip,
     conflict_hits_strip,
     sweep_block_hits,
-    sweep_conflict_chunks,
+    sweep_conflict_hits,
     tile_edge,
 )
 from repro.graphs.csr import CSRGraph, csr_from_coo_chunks
 from repro.parallel.executor import Executor, SerialExecutor, owned_executor
-from repro.parallel.partition import (
-    partition_pairs,
-    partition_tiles,
-    tile_grid,
-)
+from repro.parallel.partition import partition_tiles, tile_grid
 from repro.parallel.shm import (
     close_worker_attachments,
     shm_conflict_gather,
@@ -80,7 +72,6 @@ from repro.parallel.shm import (
 )
 from repro.pauli.anticommute import AnticommuteOracle
 from repro.resilience.faults import fault_point
-from repro.util.chunking import pair_index_to_ij
 
 __all__ = [
     "conflict_sweep_chunks",
@@ -111,7 +102,7 @@ TASKS_PER_WORKER = 4
 _WORKER: dict = {}
 
 # Worker-global static-payload cache: one entry, keyed by the payload
-# token.  Holds the root edge source and engine configuration across
+# token.  Holds the root edge source and kernel configuration across
 # sweeps of a persistent pool so repeat installs can ship only the
 # delta.  Replaced on the next full install; dies with the pool.
 _STATIC_CACHE: dict = {}
@@ -150,9 +141,7 @@ def _backend_for(kernel_backend: str | None):
 
 def sweep_payload(
     n: int,
-    engine: str,
-    tile: int | None,
-    chunk_size: int,
+    tile: int,
     colmasks: np.ndarray,
     edge_mask_fn,
     edge_block_fn,
@@ -183,12 +172,12 @@ def sweep_payload(
     }
     if source is not None and executor is not None and executor.supports_payload_cache:
         # The token must name the *whole* static part, not just the
-        # source: the same executor swept with a different engine,
-        # chunk size or kernel backend is a different payload, and a
-        # delta-only install against the old cache would run stale
-        # config.  The leading "sweep" element is the token channel
-        # (see :func:`repro.parallel.executor.token_channel`): sweep
-        # and coloring payloads coexist on one persistent pool without
+        # source: the same executor swept with a different kernel
+        # backend is a different payload, and a delta-only install
+        # against the old cache would run stale config.  The leading
+        # "sweep" element is the token channel (see
+        # :func:`repro.parallel.executor.token_channel`): sweep and
+        # coloring payloads coexist on one persistent pool without
         # evicting each other's delta path.
         # Telemetry rides the token too: a worker that cached a static
         # payload without the recording flag must take a full install
@@ -196,12 +185,10 @@ def sweep_payload(
         # running under the stale flag.  Neutral either way — the flag
         # never touches the numerics.
         token = (
-            "sweep", payload_token_for(source), engine, chunk_size,
-            kernel_backend, telemetry.enabled(),
+            "sweep", payload_token_for(source), kernel_backend,
+            telemetry.enabled(),
         )
         static = {
-            "engine": engine,
-            "chunk_size": chunk_size,
             "source": source,
             "edge_mask_fn": None,
             "edge_block_fn": None,
@@ -215,8 +202,6 @@ def sweep_payload(
         )
         return {"token": token, "static": static, "delta": delta}, token
     static = {
-        "engine": engine,
-        "chunk_size": chunk_size,
         "source": source,
         "edge_mask_fn": edge_mask_fn if source is None else None,
         "edge_block_fn": edge_block_fn if source is None else None,
@@ -333,9 +318,8 @@ def init_sweep_worker(payload: dict) -> None:
     # Worker-side backend resolution: the payload carries the *name*,
     # each worker resolves it against its own environment.
     _WORKER["backend"] = _backend_for(_WORKER.get("kernel_backend"))
-    if _WORKER["engine"] == "tiled":
-        _WORKER["grid"] = tile_grid(_WORKER["n"], _WORKER["tile"])
-        _WORKER["scratch"] = TileScratch(_WORKER["tile"])
+    _WORKER["grid"] = tile_grid(_WORKER["n"], _WORKER["tile"])
+    _WORKER["scratch"] = TileScratch(_WORKER["tile"])
 
 
 def teardown_sweep_worker() -> dict | None:
@@ -371,7 +355,7 @@ def _run_tile_strip(task: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Worker task: fused conflict kernel over one strip of tiles."""
     fault_point("task")
     start, stop = task
-    with telemetry.span("pool.strip", engine="tiled", start=start, stop=stop):
+    with telemetry.span("pool.strip", start=start, stop=stop):
         u, v = conflict_hits_strip(
             _WORKER["colmasks"],
             _WORKER["grid"][start:stop],
@@ -384,48 +368,11 @@ def _run_tile_strip(task: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def _run_pair_range(task: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Worker task: gather-engine conflict scan of one flat pair range."""
-    from repro.device.kernels import conflict_pair_kernel
-
-    fault_point("task")
-    start, stop = task
-    n = _WORKER["n"]
-    chunk = _WORKER["chunk_size"]
-    edge_mask_fn = _WORKER["edge_mask_fn"]
-    colmasks = _WORKER["colmasks"]
-    us, vs = [], []
-    with telemetry.span("pool.strip", engine="pairs", start=start, stop=stop):
-        for s in range(start, stop, chunk):
-            e = min(s + chunk, stop)
-            k = np.arange(s, e, dtype=np.int64)
-            i, j = pair_index_to_ij(k, n)
-            mask = conflict_pair_kernel(
-                edge_mask_fn, colmasks, i, j
-            ).astype(bool)
-            if mask.any():
-                us.append(i[mask])
-                vs.append(j[mask])
-    n_hits = sum(len(u) for u in us)
-    telemetry.observe("pool.strip_hits", float(n_hits))
-    if not us:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    return np.concatenate(us), np.concatenate(vs)
-
-
 def run_tile_strip_shm(task) -> int:
     """Worker task: tile strip swept into a shared COO slice; returns
     the hit count (negated on reservation overflow)."""
     (start, stop), spec = task
     u, v = _run_tile_strip((start, stop))
-    return write_strip_hits(u, v, spec)
-
-
-def run_pair_range_shm(task) -> int:
-    """Worker task: pair range swept into a shared COO slice."""
-    (start, stop), spec = task
-    u, v = _run_pair_range((start, stop))
     return write_strip_hits(u, v, spec)
 
 
@@ -469,11 +416,11 @@ def strip_shares(executor: Executor, n_tasks: int) -> list[int] | None:
 
 
 def sweep_strip_tasks(
-    n: int, engine: str, tile: int | None, executor: Executor
+    n: int, tile: int, executor: Executor
 ) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Partition the sweep domain for an executor: ``(start, stop)``
-    strip tasks in canonical order plus each strip's pair weight (the
-    shm gather sizes slot reservations from the weights).
+    """Partition the tile grid for an executor: ``(start, stop)`` strip
+    tasks in canonical order plus each strip's pair weight (the shm
+    gather sizes slot reservations from the weights).
 
     Heterogeneous backends (hierarchical cluster agents advertising
     their inner pool size) get a capacity-weighted partition: strip
@@ -484,20 +431,10 @@ def sweep_strip_tasks(
     n_tasks = n_workers * TASKS_PER_WORKER
     shares = strip_shares(executor, n_tasks)
     keep = shares is not None
-    if engine == "tiled":
-        blocks = partition_tiles(
-            n, tile, n_tasks, shares=shares, keep_empty=keep
-        )
-        blocks = blocks if keep else [b for b in blocks if len(b)]
-        tasks = [(b.start, b.stop) for b in blocks]
-        weights = np.array([b.n_pairs for b in blocks], dtype=np.int64)
-    else:
-        ranges = partition_pairs(
-            n, n_tasks, shares=shares, keep_empty=keep
-        )
-        ranges = ranges if keep else [r for r in ranges if len(r)]
-        tasks = [(r.start, r.stop) for r in ranges]
-        weights = np.array([len(r) for r in ranges], dtype=np.int64)
+    blocks = partition_tiles(n, tile, n_tasks, shares=shares, keep_empty=keep)
+    blocks = blocks if keep else [b for b in blocks if len(b)]
+    tasks = [(b.start, b.stop) for b in blocks]
+    weights = np.array([b.n_pairs for b in blocks], dtype=np.int64)
     return tasks, weights
 
 
@@ -505,8 +442,6 @@ def conflict_sweep_chunks(
     n: int,
     edge_mask_fn,
     colmasks: np.ndarray,
-    chunk_size: int = 1 << 18,
-    engine: str = "tiled",
     edge_block_fn: EdgeBlockFn | None = None,
     tile_bytes: int = DEFAULT_TILE_BYTES,
     tile: int | None = None,
@@ -522,10 +457,9 @@ def conflict_sweep_chunks(
     (:mod:`repro.device.csr_build`) and
     :func:`parallel_conflict_graph`.  A serial backend (or ``None``)
     short-circuits to the streaming in-process sweep — same kernels,
-    same tile order, lowest memory.  A pool backend partitions the
-    domain into contiguous strips (tile grid for ``"tiled"``, flat pair
-    ranges for ``"pairs"``), installs the payload once per worker, and
-    yields the per-strip results in strip order, which makes the
+    same tile order, lowest memory.  A pool backend partitions the tile
+    grid into contiguous strips, installs the payload once per worker,
+    and yields the per-strip results in strip order, which makes the
     concatenated hit stream — and therefore the assembled CSR —
     bit-identical to the serial sweep's.
 
@@ -536,28 +470,23 @@ def conflict_sweep_chunks(
     state is cleared in a ``finally`` whether the sweep completes or
     aborts.
     """
-    if engine not in ("tiled", "pairs"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "tiled" and tile is None:
-        tile = tile_edge(colmasks.shape[1], tile_bytes, n=n)
+    if tile is None:
+        tile = tile_edge(tile_bytes, n=n)
     if executor is None or isinstance(executor, SerialExecutor):
-        yield from sweep_conflict_chunks(
-            n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
-            tile_bytes=tile_bytes, tile=tile,
-            backend=_backend_for(kernel_backend),
+        yield from sweep_conflict_hits(
+            n, colmasks, edge_mask_fn, edge_block_fn,
+            tile=tile, backend=_backend_for(kernel_backend),
         )
         return
-    tasks, _ = sweep_strip_tasks(n, engine, tile, executor)
-    task_fn = _run_tile_strip if engine == "tiled" else _run_pair_range
+    tasks, _ = sweep_strip_tasks(n, tile, executor)
     payload_args = dict(
-        n=n, engine=engine, tile=tile, chunk_size=chunk_size,
-        colmasks=colmasks, edge_mask_fn=edge_mask_fn,
+        n=n, tile=tile, colmasks=colmasks, edge_mask_fn=edge_mask_fn,
         edge_block_fn=edge_block_fn,
         source=source, active_idx=active_idx, executor=executor,
         kernel_backend=kernel_backend,
     )
     try:
-        yield from imap_sweep(executor, task_fn, tasks, payload_args)
+        yield from imap_sweep(executor, _run_tile_strip, tasks, payload_args)
     finally:
         finalize_sweep(executor)
 
@@ -567,8 +496,6 @@ def conflict_hit_chunks(
     n: int,
     edge_mask_fn,
     colmasks: np.ndarray,
-    chunk_size: int = 1 << 18,
-    engine: str = "tiled",
     edge_block_fn: EdgeBlockFn | None = None,
     tile_bytes: int = DEFAULT_TILE_BYTES,
     tile: int | None = None,
@@ -594,14 +521,9 @@ def conflict_hit_chunks(
     can never diverge on it.  Shm-backed chunks are views into the
     shared region and are only valid inside the ``with`` block.
     """
-    # Validate up front so both gather paths reject bad input
-    # identically (the pickled path would raise inside the sweep; the
-    # shm partitioner would silently treat unknown engines as "pairs").
-    if engine not in ("tiled", "pairs"):
-        raise ValueError(f"unknown engine {engine!r}")
     if shm and executor is not None and executor.supports_shm_gather:
         with shm_conflict_gather(
-            n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
+            n, edge_mask_fn, colmasks, edge_block_fn,
             tile_bytes=tile_bytes, tile=tile, executor=executor,
             est_conflict_edges=est_conflict_edges,
             source=source, active_idx=active_idx, region_cb=region_cb,
@@ -610,7 +532,7 @@ def conflict_hit_chunks(
             yield gather.chunks
         return
     stream = conflict_sweep_chunks(
-        n, edge_mask_fn, colmasks, chunk_size, engine, edge_block_fn,
+        n, edge_mask_fn, colmasks, edge_block_fn,
         tile_bytes=tile_bytes, tile=tile, executor=executor,
         source=source, active_idx=active_idx,
         kernel_backend=kernel_backend,
@@ -628,8 +550,6 @@ def gathered_conflict_csr(
     n: int,
     edge_mask_fn,
     colmasks: np.ndarray,
-    chunk_size: int = 1 << 18,
-    engine: str = "tiled",
     edge_block_fn: EdgeBlockFn | None = None,
     tile_bytes: int = DEFAULT_TILE_BYTES,
     executor: Executor | None = None,
@@ -657,12 +577,12 @@ def gathered_conflict_csr(
     with ExitStack() as stack:
         try:
             t0 = telemetry.clock()
-            with telemetry.span("sweep.gather", engine=engine):
+            with telemetry.span("sweep.gather"):
                 # Entered inside the clock and the span: the shm gather
                 # runs the whole worker sweep when its context opens.
                 hit_stream = stack.enter_context(conflict_hit_chunks(
-                    n, edge_mask_fn, colmasks, chunk_size, engine,
-                    edge_block_fn, tile_bytes=tile_bytes, executor=executor,
+                    n, edge_mask_fn, colmasks, edge_block_fn,
+                    tile_bytes=tile_bytes, executor=executor,
                     shm=shm, est_conflict_edges=est_conflict_edges,
                     source=source, active_idx=active_idx,
                     kernel_backend=kernel_backend,
@@ -670,7 +590,7 @@ def gathered_conflict_csr(
                 chunks = [(u, v) for u, v in hit_stream if len(u)]
             t1 = telemetry.clock()
             m = sum(len(u) for u, _ in chunks)
-            with telemetry.span("sweep.assemble", engine=engine):
+            with telemetry.span("sweep.assemble"):
                 graph = csr_from_coo_chunks(chunks, n)
             if timings is not None:
                 timings["sweep_s"] = (
@@ -720,9 +640,7 @@ def parallel_conflict_graph(
     pauli_set,
     colmasks: np.ndarray,
     n_workers: int = 2,
-    chunk_size: int = 1 << 16,
     want_anticommute: bool = False,
-    engine: str = "tiled",
     tile_bytes: int = DEFAULT_TILE_BYTES,
     executor: Executor | None = None,
     shm: bool = False,
@@ -748,9 +666,6 @@ def parallel_conflict_graph(
     want_anticommute:
         Color the anticommute graph itself instead of its complement
         (used by tests to cross-check orientations).
-    engine:
-        ``"tiled"`` block-broadcast sweep (default) or ``"pairs"`` flat
-        gather chunks.
     executor:
         Explicit backend; overrides ``n_workers``.  A spec-created
         backend is closed before returning; a passed instance is left
@@ -775,8 +690,6 @@ def parallel_conflict_graph(
             pauli_set.n,
             edge_mask_fn,
             colmasks,
-            chunk_size=chunk_size,
-            engine=engine,
             edge_block_fn=edge_block_fn,
             tile_bytes=tile_bytes,
             executor=ex,

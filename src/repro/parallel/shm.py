@@ -351,8 +351,6 @@ def shm_conflict_gather(
     n: int,
     edge_mask_fn,
     colmasks: np.ndarray,
-    chunk_size: int = 1 << 18,
-    engine: str = "tiled",
     edge_block_fn=None,
     tile_bytes: int | None = None,
     tile: int | None = None,
@@ -387,13 +385,11 @@ def shm_conflict_gather(
 
     if executor is None:
         executor = SerialExecutor()
-    if engine == "tiled" and tile is None:
+    if tile is None:
         from repro.device.tiles import DEFAULT_TILE_BYTES, tile_edge
 
-        tile = tile_edge(
-            colmasks.shape[1], tile_bytes or DEFAULT_TILE_BYTES, n=n
-        )
-    tasks, weights = _pool.sweep_strip_tasks(n, engine, tile, executor)
+        tile = tile_edge(tile_bytes or DEFAULT_TILE_BYTES, n=n)
+    tasks, weights = _pool.sweep_strip_tasks(n, tile, executor)
     result = ShmGatherResult(n_strips=len(tasks))
     if not tasks:
         yield result
@@ -407,15 +403,10 @@ def shm_conflict_gather(
     result.total_slots = int(offsets[-1])
 
     payload_args = dict(
-        n=n, engine=engine, tile=tile, chunk_size=chunk_size,
-        colmasks=colmasks, edge_mask_fn=edge_mask_fn,
+        n=n, tile=tile, colmasks=colmasks, edge_mask_fn=edge_mask_fn,
         edge_block_fn=edge_block_fn,
         source=source, active_idx=active_idx, executor=executor,
         kernel_backend=kernel_backend,
-    )
-    task_fn = (
-        _pool.run_tile_strip_shm if engine == "tiled"
-        else _pool.run_pair_range_shm
     )
 
     regions: list[ShmCooRegion] = []
@@ -438,9 +429,9 @@ def shm_conflict_gather(
             )
             for k, t in enumerate(tasks)
         ]
-        counts = list(
-            _pool.imap_sweep(executor, task_fn, shm_tasks, payload_args)
-        )
+        counts = list(_pool.imap_sweep(
+            executor, _pool.run_tile_strip_shm, shm_tasks, payload_args
+        ))
 
         # Grow-and-retry: strips that overflowed reported their exact
         # hit count; a second region sized by those counts re-runs just
@@ -473,9 +464,9 @@ def shm_conflict_gather(
             # re-install the payload (a delta no-op while the token is
             # still held) so a worker respawned since the main pass
             # does not run the strip against empty state.
-            retry_counts = list(
-                _pool.imap_sweep(executor, task_fn, retry_tasks, payload_args)
-            )
+            retry_counts = list(_pool.imap_sweep(
+                executor, _pool.run_tile_strip_shm, retry_tasks, payload_args
+            ))
             for r, k in enumerate(failed):
                 if retry_counts[r] < 0:  # pragma: no cover - exact sizing
                     raise RuntimeError("shm retry region overflowed")

@@ -68,8 +68,8 @@ def semi_streaming_color(
     # way, so this function owns and closes it.
     executor = supervised_executor(
         params.executor, params.n_workers, pin=params.pin_workers,
-        hosts=params.hosts, transport=params.transport,
-        failover=params.failover, max_retries=params.max_retries,
+        hosts=params.hosts, failover=params.failover,
+        max_retries=params.max_retries,
     )
     try:
         return _semi_streaming_color(stream, params, rng, color_engine, executor)

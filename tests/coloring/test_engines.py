@@ -34,7 +34,7 @@ from repro.pauli import random_pauli_set
 #: CI pins the pool size via REPRO_TEST_N_WORKERS (mirrors tests/parallel).
 _CI_WORKERS = int(os.environ.get("REPRO_TEST_N_WORKERS", "2"))
 
-ALL_ENGINES = ("greedy-dynamic", "sets", "greedy-static", "parallel-list")
+ALL_ENGINES = ("greedy-dynamic", "greedy-static", "parallel-list")
 
 
 def _random_instance(seed, n_lo=2, n_hi=40):
@@ -67,7 +67,7 @@ def assert_valid_outcome(gc, col_lists, outcome):
 
 class TestRegistry:
     def test_available(self):
-        assert set(ALL_ENGINES) <= set(available_engines())
+        assert available_engines() == tuple(sorted(ALL_ENGINES))
 
     def test_unknown_engine(self):
         with pytest.raises(ValueError, match="unknown coloring engine"):
@@ -114,15 +114,6 @@ class TestCrossEngineEquivalence:
         gc, lists = _random_instance(seed)
         out = get_engine(name).color(gc, lists, rng=seed)
         assert_valid_outcome(gc, lists, out)
-
-    @given(seed=st.integers(min_value=0, max_value=2**32))
-    @settings(max_examples=20, deadline=None)
-    def test_greedy_dynamic_matches_sets_bit_identical(self, seed):
-        gc, lists = _random_instance(seed)
-        a = get_engine("greedy-dynamic").color(gc, lists, rng=seed)
-        b = get_engine("sets").color(gc, lists, rng=seed)
-        np.testing.assert_array_equal(a.colors, b.colors)
-        np.testing.assert_array_equal(a.uncolored, b.uncolored)
 
     def test_forced_vu(self):
         """K3 with identical single-color lists: one vertex colored,
@@ -263,12 +254,11 @@ class TestPicassoEndToEnd:
 
     def test_auto_resolution_preserves_legacy_pairing(self):
         assert PicassoParams().resolved_color_engine() == "greedy-dynamic"
-        assert PicassoParams(engine="pairs").resolved_color_engine() == "sets"
         p = PicassoParams(conflict_order="lf")
         assert p.resolved_color_engine() == "greedy-static"
         assert p.color_engine_knobs() == {"order": "lf"}
-        q = PicassoParams(color_engine="sets", engine="tiled")
-        assert q.resolved_color_engine() == "sets"
+        q = PicassoParams(color_engine="parallel-list", conflict_order="lf")
+        assert q.resolved_color_engine() == "parallel-list"
 
     def test_unknown_color_engine_rejected(self):
         with pytest.raises(ValueError, match="color_engine"):

@@ -21,7 +21,7 @@ class TestValidation:
             {"conflict_order": "bogus"},
             {"max_iterations": 0},
             {"grow_on_stall": 0.5},
-            {"engine": "warp"},
+            {"tile_budget_bytes": 0},
             {"n_workers": 0},
             {"executor": "threads"},
         ],
@@ -71,9 +71,9 @@ class TestPresets:
         assert p.alpha == 30.0
 
     def test_overrides(self):
-        p = normal_params(alpha=3.0, chunk_size=128)
+        p = normal_params(alpha=3.0, tile_budget_bytes=128)
         assert p.alpha == 3.0
-        assert p.chunk_size == 128
+        assert p.tile_budget_bytes == 128
         assert p.palette_fraction == pytest.approx(0.125)
 
     def test_with_is_functional(self):

@@ -74,9 +74,9 @@ class TestKernels:
 class TestHostBuild:
     def test_counts_match_graph(self):
         src, _, masks = make_inputs()
-        gc, m = build_conflict_graph(60, src.edge_mask, masks, chunk_size=61)
+        gc, m = build_conflict_graph(60, src.edge_mask, masks)
         assert gc.n_edges == m
-        assert m == count_conflict_edges(60, src.edge_mask, masks, chunk_size=37)
+        assert m == count_conflict_edges(60, src.edge_mask, masks)
 
     def test_conflict_subset_of_complement(self):
         src, _, masks = make_inputs()
@@ -167,11 +167,14 @@ class TestAlgorithm3:
         """COO overflow mid-stream with a pool backend must raise
         DeviceOutOfMemory promptly and tear the workers down (the
         generator close path), not hang on undelivered results."""
-        src, _, masks = make_inputs(n=80)
-        dev = DeviceSim(budget_bytes=masks.nbytes + 2 * 80 * 4 + 1024)
-        with pytest.raises(DeviceOutOfMemory):
+        src, _, masks = make_inputs(n=600, nq=10, palette=20, L=8)
+        # Room for both workers' 64-tile scratch (2 x 81,920 B), so the
+        # tiled sweep runs on the pool; the COO buffer gets the other
+        # 236,160 B (29,520 edges), fewer than the sweep produces.
+        dev = DeviceSim(budget_bytes=masks.nbytes + 2 * 600 * 4 + 400_000)
+        with pytest.raises(DeviceOutOfMemory, match="capacity 29520"):
             build_conflict_csr(
-                80, src.edge_mask, masks, dev,
+                600, src.edge_mask, masks, dev,
                 edge_block_fn=src.edge_block, n_workers=2,
             )
         assert dev.used_bytes == 0

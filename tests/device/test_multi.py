@@ -72,6 +72,21 @@ class TestMultiDevice:
         with pytest.raises(DeviceOutOfMemory, match="device 1"):
             build_conflict_csr_multi(150, src.edge_mask, masks, devices)
 
+    def test_oom_on_a_fixed_buffer_frees_the_earlier_ones(self):
+        """A device too small for its edge counters must release the
+        colmasks replica it already took, so a retry on the same device
+        with a larger budget succeeds."""
+        src, masks = make_inputs()
+        dev = DeviceSim(budget_bytes=int(masks.nbytes) + 10)
+        with pytest.raises(DeviceOutOfMemory):
+            build_conflict_csr_multi(100, src.edge_mask, masks, [dev])
+        assert dev.used_bytes == 0
+        dev.budget_bytes = 1 << 22
+        _, host_m = build_conflict_graph(100, src.edge_mask, masks)
+        _, stats = build_conflict_csr_multi(100, src.edge_mask, masks, [dev])
+        assert stats.n_conflict_edges == host_m
+        assert dev.used_bytes == 0
+
     def test_empty_device_list(self):
         src, masks = make_inputs()
         with pytest.raises(ValueError):

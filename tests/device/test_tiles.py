@@ -13,6 +13,7 @@ from repro.core.conflict import build_conflict_graph, count_conflict_edges
 from repro.core.palette import assign_color_lists
 from repro.core.sources import ExplicitGraphSource, PauliComplementSource
 from repro.device import (
+    conflict_pair_hits,
     conflict_pair_kernel,
     conflict_pair_kernel_python,
     lists_intersect_kernel,
@@ -32,6 +33,7 @@ from repro.device.tiles import (
     upper_triangle_mask,
 )
 from repro.graphs import erdos_renyi
+from repro.graphs.csr import csr_from_coo_chunks
 from repro.pauli import random_pauli_set
 from repro.pauli.anticommute import (
     anticommute_block_chars,
@@ -75,10 +77,10 @@ class TestTileGeometry:
             list(iter_tiles(5, 0))
 
     def test_tile_edge_clamped_and_snapped(self):
-        assert tile_edge(4, 0) == MIN_TILE
-        assert tile_edge(4) % MIN_TILE == 0
-        assert tile_edge(4, n=10) == 10  # capped by problem size
-        big = tile_edge(1, 1 << 40)
+        assert tile_edge(0) == MIN_TILE
+        assert tile_edge() % MIN_TILE == 0
+        assert tile_edge(n=10) == 10  # capped by problem size
+        big = tile_edge(1 << 40)
         assert big % MIN_TILE == 0
         assert tile_scratch_bytes(big) > 0
 
@@ -157,6 +159,14 @@ def _hits_to_set(hits):
     return out
 
 
+def _flat_csr(n, edge_mask_fn, masks, chunk_size=1 << 18):
+    """Reference CSR: the flat pair kernel, one chunk per launch."""
+    return csr_from_coo_chunks(
+        list(conflict_pair_hits(n, edge_mask_fn, masks, chunk_size=chunk_size)),
+        n,
+    )
+
+
 class TestFusedConflictKernel:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("n,palette,L", [(60, 16, 4), (37, 130, 11)])
@@ -182,9 +192,9 @@ class TestFusedConflictKernel:
         hits = _hits_to_set(sweep_conflict_hits(n, masks, src.edge_mask))
         if n < 2:
             assert hits == set()
-        gt, mt = build_conflict_graph(n, src.edge_mask, masks, engine="tiled")
-        gp, mp = build_conflict_graph(n, src.edge_mask, masks, engine="pairs")
-        assert mt == mp == len(hits)
+        gt, mt = build_conflict_graph(n, src.edge_mask, masks)
+        gp = _flat_csr(n, src.edge_mask, masks)
+        assert mt == gp.n_edges == len(hits)
         np.testing.assert_array_equal(gt.offsets, gp.offsets)
 
     def test_dense_and_sparse_paths_agree(self):
@@ -212,15 +222,12 @@ class TestFusedConflictKernel:
         with pytest.raises(ValueError):
             conflict_hits_block(masks, 0, 10, 0, 10)
 
-    def test_unknown_engine_rejected(self):
-        _, src, _, masks = make_inputs(n=10)
-        with pytest.raises(ValueError):
-            build_conflict_graph(10, src.edge_mask, masks, engine="warp")
-
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_identical_csr_including_arc_order(self, seed):
+        """The tiled build equals the flat pair kernel's CSR byte for
+        byte, arc order included."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 120))
         nq = int(rng.integers(4, 12))  # 4**nq >= 256 > max n
@@ -230,20 +237,16 @@ class TestEngineEquivalence:
         src = PauliComplementSource(ps)
         _, masks = assign_color_lists(n, palette, L, rng=seed)
         gt, mt = build_conflict_graph(
-            n, src.edge_mask, masks, engine="tiled",
+            n, src.edge_mask, masks,
             edge_block_fn=src.edge_block, tile_bytes=1 << 14,
         )
-        gp, mp = build_conflict_graph(
-            n, src.edge_mask, masks, chunk_size=97, engine="pairs"
-        )
-        assert mt == mp
+        gp = _flat_csr(n, src.edge_mask, masks, chunk_size=97)
+        assert mt == gp.n_edges
         np.testing.assert_array_equal(gt.offsets, gp.offsets)
         np.testing.assert_array_equal(gt.targets, gp.targets)
+        assert gt.targets.dtype == gp.targets.dtype
         assert mt == count_conflict_edges(
-            n, src.edge_mask, masks, engine="tiled", edge_block_fn=src.edge_block
-        )
-        assert mt == count_conflict_edges(
-            n, src.edge_mask, masks, chunk_size=53, engine="pairs"
+            n, src.edge_mask, masks, edge_block_fn=src.edge_block
         )
 
     def test_explicit_graph_edge_block(self):

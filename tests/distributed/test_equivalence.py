@@ -46,16 +46,13 @@ def _build(ps, masks, **kw):
 
 
 class TestConflictCSREquivalence:
-    @pytest.mark.parametrize("engine", ["tiled", "pairs"])
-    def test_cluster_bit_identical_to_serial_and_pool(self, cluster, engine):
+    def test_cluster_bit_identical_to_serial_and_pool(self, cluster):
         ps = random_pauli_set(120, 7, seed=5)
         _, masks = assign_color_lists(120, 18, 5, rng=3)
-        ref, m_ref = _build(ps, masks, engine=engine)
-        pool, m_pool = _build(
-            ps, masks, engine=engine, executor=PoolExecutor(_CI_WORKERS)
-        )
+        ref, m_ref = _build(ps, masks)
+        pool, m_pool = _build(ps, masks, executor=PoolExecutor(_CI_WORKERS))
         got, m_got = _build(
-            ps, masks, engine=engine, executor="cluster", hosts=cluster.hosts
+            ps, masks, executor="cluster", hosts=cluster.hosts
         )
         assert m_got == m_ref == m_pool
         _assert_bit_identical(got, ref)

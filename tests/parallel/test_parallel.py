@@ -11,12 +11,15 @@ from repro.core import Picasso, PicassoParams
 from repro.core.conflict import build_conflict_graph, count_conflict_edges
 from repro.core.palette import assign_color_lists
 from repro.core.sources import PauliComplementSource
+from repro.device import conflict_pair_hits
 from repro.device.backends import available_backends
+from repro.device.tiles import DEFAULT_TILE_BYTES
 from repro.parallel import (
     PoolExecutor,
     parallel_conflict_graph,
     partition_pairs,
 )
+from repro.graphs.csr import csr_from_coo_chunks
 from repro.pauli import random_pauli_set
 from repro.util.chunking import num_pairs
 
@@ -67,14 +70,18 @@ class TestParallelConflictGraph:
         src = PauliComplementSource(ps)
         return build_conflict_graph(ps.n, src.edge_mask, masks)
 
-    @pytest.mark.parametrize("engine", ["tiled", "pairs"])
+    # The minimum budget cuts the 70 vertices into 64-row tiles, so
+    # strips span several tiles.
+    @pytest.mark.parametrize(
+        "tile_bytes", [DEFAULT_TILE_BYTES, 1], ids=["tiled", "min-tile"]
+    )
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
-    def test_matches_sequential(self, n_workers, engine):
+    def test_matches_sequential(self, n_workers, tile_bytes):
         ps = random_pauli_set(70, 6, seed=0)
         _, masks = assign_color_lists(70, 12, 4, rng=0)
         expect_g, expect_m = self._expected(ps, masks)
         got_g, got_m = parallel_conflict_graph(
-            ps, masks, n_workers=n_workers, chunk_size=101, engine=engine
+            ps, masks, n_workers=n_workers, tile_bytes=tile_bytes
         )
         assert got_m == expect_m
         _assert_bit_identical(got_g, expect_g)
@@ -115,8 +122,8 @@ class TestParallelConflictGraph:
 
 
 class TestBackendEquivalence:
-    """ISSUE 2 acceptance: tiled-parallel builds are bit-identical to
-    tiled-serial and to the pairs engine, and colorings match per seed."""
+    """Parallel builds are bit-identical to serial ones, and colorings
+    match per seed."""
 
     def _build(self, ps, masks, **kw):
         src = PauliComplementSource(ps)
@@ -130,16 +137,14 @@ class TestBackendEquivalence:
         ps = random_pauli_set(120, 7, seed=5)
         _, masks = assign_color_lists(120, 18, 5, rng=3)
         ref, m_ref = self._build(ps, masks)
-        pairs, m_pairs = self._build(ps, masks, engine="pairs")
         got, m_got = self._build(
             ps, masks, n_workers=n_workers, kernel_backend=kernel_backend
         )
         serial, m_serial = self._build(
             ps, masks, kernel_backend=kernel_backend
         )
-        assert m_got == m_ref == m_pairs == m_serial
+        assert m_got == m_ref == m_serial
         _assert_bit_identical(got, ref)
-        _assert_bit_identical(got, pairs)
         _assert_bit_identical(serial, ref)
 
     @pytest.mark.parametrize("n_workers", _WORKER_COUNTS)
@@ -156,8 +161,8 @@ class TestBackendEquivalence:
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=8, deadline=None)
     def test_property_backends_agree_per_seed(self, seed):
-        """For random seeds: serial tiled, parallel tiled (2 workers)
-        and the pairs engine all build the same CSR bit for bit."""
+        """For random seeds: serial, parallel (2 workers) and the flat
+        pair kernel all build the same CSR bit for bit."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(20, 90))
         ps = random_pauli_set(n, int(rng.integers(4, 9)), seed=seed)
@@ -166,10 +171,13 @@ class TestBackendEquivalence:
         _, masks = assign_color_lists(n, palette, lsize, rng=seed)
         ref, m_ref = self._build(ps, masks)
         par, m_par = self._build(ps, masks, n_workers=2)
-        pairs, m_pairs = self._build(ps, masks, engine="pairs")
-        assert m_par == m_ref == m_pairs
+        flat = csr_from_coo_chunks(
+            list(conflict_pair_hits(n, PauliComplementSource(ps).edge_mask, masks)),
+            n,
+        )
+        assert m_par == m_ref == flat.n_edges
         _assert_bit_identical(par, ref)
-        _assert_bit_identical(pairs, ref)
+        _assert_bit_identical(flat, ref)
 
     @pytest.mark.parametrize("kernel_backend", available_backends())
     @pytest.mark.parametrize("n_workers", _WORKER_COUNTS)
@@ -187,10 +195,6 @@ class TestBackendEquivalence:
         ).color(ps)
         np.testing.assert_array_equal(serial.colors, par.colors)
         assert serial.n_colors == par.n_colors
-        pairs_par = Picasso(
-            params=PicassoParams(engine="pairs", n_workers=n_workers), seed=11
-        ).color(ps)
-        np.testing.assert_array_equal(serial.colors, pairs_par.colors)
 
     def test_forced_pool_single_worker(self):
         """executor="pool" with one worker still routes through the

@@ -17,6 +17,7 @@ from repro.core.conflict import build_conflict_graph
 from repro.core.palette import assign_color_lists
 from repro.core.sources import PauliComplementSource
 from repro.device.csr_build import build_conflict_csr
+from repro.device.tiles import DEFAULT_TILE_BYTES
 from repro.device.sim import DeviceSim
 from repro.graphs.csr import csr_from_coo_chunks
 from repro.parallel import (
@@ -112,13 +113,17 @@ class TestShmGatherEquivalence:
             n, src.edge_mask, masks, edge_block_fn=src.edge_block
         )
 
-    @pytest.mark.parametrize("engine", ["tiled", "pairs"])
-    def test_shm_pool_matches_serial(self, engine):
+    # The minimum budget gives 64-row tiles, so each strip reserves
+    # slots for several tiles.
+    @pytest.mark.parametrize(
+        "tile_bytes", [DEFAULT_TILE_BYTES, 1], ids=["tiled", "min-tile"]
+    )
+    def test_shm_pool_matches_serial(self, tile_bytes):
         ps, src, masks = _problem()
         ref, m_ref = self._ref(src, masks, ps.n)
         with PoolExecutor(2) as ex:
             got, m = build_conflict_graph(
-                ps.n, src.edge_mask, masks, engine=engine,
+                ps.n, src.edge_mask, masks, tile_bytes=tile_bytes,
                 edge_block_fn=src.edge_block, executor=ex, shm=True,
             )
         assert m == m_ref
@@ -249,28 +254,24 @@ class TestPersistentPool:
 
     def test_engine_switch_on_shared_executor(self):
         """Regression: the payload token names the whole static config,
-        so swapping engines (or chunk sizes) on one executor + source
-        must force a full re-install, not run a stale cached engine."""
+        so swapping kernel backends on one executor + source must force
+        a full re-install, not run a stale cached backend."""
         ps, src, masks = _problem()
-        ref_t, m_t = build_conflict_graph(
+        ref, m_ref = build_conflict_graph(
             ps.n, src.edge_mask, masks, edge_block_fn=src.edge_block
         )
-        ref_p, m_p = build_conflict_graph(
-            ps.n, src.edge_mask, masks, edge_block_fn=src.edge_block,
-            engine="pairs",
-        )
+        tokens = []
         with PoolExecutor(2) as ex:
-            for engine, ref, m_ref in (
-                ("tiled", ref_t, m_t),
-                ("pairs", ref_p, m_p),
-                ("tiled", ref_t, m_t),
-            ):
+            for kernel_backend in (None, "numpy", None):
                 got, m = build_conflict_graph(
-                    ps.n, src.edge_mask, masks, engine=engine,
+                    ps.n, src.edge_mask, masks,
                     edge_block_fn=src.edge_block, executor=ex, source=src,
+                    kernel_backend=kernel_backend,
                 )
                 assert m == m_ref
                 _assert_bit_identical(got, ref)
+                tokens.append(ex._installed_token)
+        assert tokens[0] != tokens[1] != tokens[2]
 
     def test_close_is_idempotent_and_leaves_no_children(self):
         before = len(mp.active_children())
