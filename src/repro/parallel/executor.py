@@ -140,13 +140,14 @@ _POOL_LOCAL: dict[str, Any] = {}
 
 
 def _bootstrap_pool_worker(
-    rank_counter: Any, barrier: Any, pin: bool
+    rank_counter: Any, barrier: Any, pin: bool, cancel: Any = None
 ) -> None:
     with rank_counter.get_lock():
         rank = rank_counter.value
         rank_counter.value += 1
     _POOL_LOCAL["rank"] = rank
     _POOL_LOCAL["barrier"] = barrier
+    _POOL_LOCAL["cancel"] = cancel
     _POOL_LOCAL["pinned"] = pin_current_worker(rank) if pin else False
     # This process is a pool worker: its telemetry is a delta shipped
     # home on the finalize broadcast, not the dispatcher's merged view.
@@ -170,6 +171,17 @@ def _broadcast_task(arg: tuple[Callable[..., Any], tuple[Any, ...]]) -> Any:
     # The broadcast return value is the piggyback channel worker
     # telemetry deltas ride home on (see Executor.finalize).
     return ret
+
+
+def _cancellable_task(arg: tuple[Callable[..., Any], Any]) -> Any:
+    """Run one sweep task unless the dispatcher abandoned the stream:
+    a cancelled task returns ``None`` at once, so the drain before a
+    recycle only waits for the strips already running."""
+    fn, task = arg
+    cancel = _POOL_LOCAL.get("cancel")
+    if cancel is not None and cancel.is_set():
+        return None
+    return fn(task)
 
 
 def token_channel(token: Hashable) -> Hashable:
@@ -413,6 +425,7 @@ class PoolExecutor(Executor):
         #: respawned worker invalidates the delta path for a channel.
         self._token_pids: dict[Hashable, list[int] | None] = {}
         self._streaming = False
+        self._cancel: Any = None
 
     def resolved_start_method(self) -> str:
         """The start method the pool will actually use."""
@@ -443,10 +456,11 @@ class PoolExecutor(Executor):
             ctx = mp.get_context(self.resolved_start_method())
             rank_counter = ctx.Value("i", 0)
             barrier = ctx.Barrier(self.n_workers)
+            self._cancel = ctx.Event()
             pool = ctx.Pool(
                 self.n_workers,
                 initializer=_bootstrap_pool_worker,
-                initargs=(rank_counter, barrier, self.pin),
+                initargs=(rank_counter, barrier, self.pin, self._cancel),
             )
             self._pool = pool
             self._clear_tokens()
@@ -486,7 +500,7 @@ class PoolExecutor(Executor):
     def _stream(self, result_iter: mp_pool.IMapIterator) -> Iterator[Any]:
         """Yield pool results with a bounded per-result wait; recycle
         the pool if the stream is abandoned mid-sweep or wedged."""
-        done = False
+        done = wedged = False
         try:
             while True:
                 try:
@@ -497,6 +511,7 @@ class PoolExecutor(Executor):
                     # Same failure mode the install broadcast guards
                     # against: a worker killed mid-strip never reports
                     # and the task is never re-issued.
+                    wedged = True
                     raise WorkerFailure(
                         f"no sweep result within {RESULT_TIMEOUT_S:.0f}s — "
                         "a pool worker likely died mid-strip; the pool "
@@ -508,8 +523,30 @@ class PoolExecutor(Executor):
             self._streaming = False
             if not done:
                 # Unconsumed tasks are churning toward a dead iterator;
-                # terminate them now and start clean next sweep.
+                # cancel them and start clean next sweep.
+                if not wedged:
+                    self._drain(result_iter)
                 self._recycle()
+
+    def _drain(self, result_iter: mp_pool.IMapIterator) -> None:
+        """Cancel the queued tasks and collect every result still due.
+
+        ``Pool.terminate`` SIGTERMs workers wherever they are; one
+        killed while sending a result dies holding the result queue's
+        write lock, and the pool's task handler then blocks on that
+        lock forever inside ``terminate``.  Once every result has
+        arrived no worker is mid-send, so the recycle is safe."""
+        self._cancel.set()
+        while True:
+            try:
+                result_iter.next(RESULT_TIMEOUT_S)
+            except StopIteration:
+                return
+            except mp.TimeoutError:
+                return
+            except Exception:
+                # A task's own failure; the stream is being dropped.
+                continue
 
     def _recycle(self) -> None:
         if self._pool is not None:
@@ -573,7 +610,9 @@ class PoolExecutor(Executor):
         # COO stream — never holds every strip's hit arrays at once and
         # can abort (DeviceOutOfMemory) mid-sweep.
         self._streaming = True
-        return self._stream(pool.imap(task_fn, tasks))
+        return self._stream(
+            pool.imap(_cancellable_task, [(task_fn, t) for t in tasks])
+        )
 
     def broadcast(
         self, fn: Callable[..., Any], payload: tuple[Any, ...] = ()

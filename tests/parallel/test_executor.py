@@ -1,6 +1,11 @@
 """Tests for the execution backend layer (serial / pool, fork / spawn)."""
 
 import multiprocessing as mp
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +21,10 @@ from repro.parallel.executor import (
 )
 from repro.pauli import random_pauli_set
 
+SRC = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), "..", "..", "src")
+)
+
 # Module-level so they pickle into spawn-context pool workers.
 _STATE: dict = {}
 
@@ -30,6 +39,11 @@ def _square_plus_bias(x):
 
 def _raise_install():
     raise ValueError("install failed")
+
+
+def _sleep_then_pid(seconds):
+    time.sleep(seconds)
+    return os.getpid()
 
 
 class TestSerialExecutor:
@@ -153,6 +167,56 @@ class TestPoolExecutor:
         it = ex.imap(_square_plus_bias, [3, 1, 2], initializer=_install, payload=(0,))
         assert next(it) == 9
         assert list(it) == [1, 4]
+
+    def test_abandoned_stream_mid_send_recycles_without_hanging(self):
+        """Dropping a stream while workers are sending large results
+        must recycle the pool, not wedge ``Pool.terminate`` on a result
+        lock held by a worker killed mid-send.  Runs in its own process
+        group so a wedged pool fails the test instead of hanging it."""
+        script = (
+            "from functools import partial\n"
+            "import numpy as np\n"
+            "from repro.parallel.executor import PoolExecutor\n"
+            "# 8 MiB results: a worker spends most of a task sending.\n"
+            "big = partial(np.zeros, dtype=np.int64)\n"
+            "with PoolExecutor(2) as ex:\n"
+            "    for _ in range(8):\n"
+            "        it = ex.imap(big, [1 << 20] * 12)\n"
+            "        next(it)\n"
+            "        it.close()\n"
+            "        assert not ex.pool_alive\n"
+            "    assert len(ex.map(big, [4, 4])) == 2\n"
+            "print('ok')\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (SRC, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("pool recycle hung on an abandoned stream")
+        assert proc.returncode == 0, err.decode()
+        assert out.decode().strip() == "ok"
+
+    def test_abandoned_stream_skips_queued_tasks(self):
+        """Tasks still queued when the stream is dropped are cancelled,
+        so the recycle waits only for the strips already running."""
+        with PoolExecutor(2) as ex:
+            it = ex.imap(_sleep_then_pid, [0.0] + [0.25] * 40)
+            next(it)
+            t0 = time.perf_counter()
+            it.close()
+            # Running all 40 queued tasks on 2 workers would take 5 s.
+            assert time.perf_counter() - t0 < 2.5
+            assert not ex.pool_alive
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
