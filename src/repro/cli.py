@@ -15,7 +15,7 @@ top-level schema everywhere, ``null`` where a field does not apply),
 ``--trace-json PATH`` (the merged telemetry event trace as JSON lines)
 and ``--metrics-out PATH`` (a Prometheus-style text snapshot of the
 telemetry counters).  The trace/snapshot flags enable telemetry for
-the process; ``REPRO_TELEMETRY=1`` does the same without writing files.
+the process.
 
 Entry point: ``repro-picasso`` (or ``python -m repro.cli``).
 """
@@ -128,8 +128,6 @@ def _make_params(args: argparse.Namespace):
         overrides["executor"] = args.executor
     if getattr(args, "shm", False):
         overrides["shm_gather"] = True
-    if getattr(args, "pin", False):
-        overrides["pin_workers"] = True
     if getattr(args, "color_engine", None) is not None:
         overrides["color_engine"] = args.color_engine
     if getattr(args, "hosts", None) is not None:
@@ -397,11 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the default pickled gather)",
     )
     p.add_argument(
-        "--pin", action="store_true",
-        help="pin each pool worker to one core (sched_setaffinity; "
-        "no-op where unsupported)",
-    )
-    p.add_argument(
         "--hosts", default=None, metavar="HOST:PORT,...",
         help="shard the sweep and coloring rounds over multi-host "
         "worker agents (python -m repro.distributed.worker on each "
@@ -447,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-retries", type=int, default=None, dest="max_retries",
         metavar="N",
         help="bounded-failure retries per backend per sweep before "
-        "failing over (default REPRO_MAX_RETRIES=2; setting this "
+        "failing over (default 2; setting this "
         "enables supervision even without --failover)",
     )
     from repro.device.backends import registered_backends
@@ -457,9 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", *registered_backends()],
         help="compute-kernel backend for the hot sweep/coloring kernels "
         "(registry name; default auto reads REPRO_KERNEL_BACKEND, else "
-        "numpy); numba is a compiled CPU path, cupy a GPU path — both "
-        "bit-identical to numpy, with a stderr note and numpy fallback "
-        "when the requested runtime is not importable",
+        "numpy); numba is a compiled CPU path, bit-identical to numpy, "
+        "with a stderr note and numpy fallback when it is not "
+        "importable",
     )
     p.add_argument("--validate", action="store_true")
     p.add_argument("--output", "-o", default=None, help="write per-vertex colors")

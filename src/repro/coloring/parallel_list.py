@@ -42,7 +42,7 @@ import numpy as np
 from repro import telemetry
 from repro.graphs.csr import CSRGraph
 from repro.parallel.executor import Executor, SerialExecutor
-from repro.util.bits import bitset_from_lists, lowest_set_bit_rows
+from repro.util.bits import bitset_from_lists
 from repro.util.rng import as_generator
 
 __all__ = [
@@ -110,13 +110,11 @@ def _init_palette_worker(payload: dict) -> None:
 
 
 def _resolve_backend(kernel_backend: str | None):
-    """Kernel-backend instance for the pick scan (``None`` = direct
-    numpy path; import deferred to keep layering lazy)."""
-    if kernel_backend is None:
-        return None
+    """Kernel-backend instance for the pick scan (``None`` = numpy;
+    import deferred to keep layering lazy)."""
     from repro.device.backends import resolve_backend
 
-    return resolve_backend(kernel_backend)
+    return resolve_backend(kernel_backend or "numpy")
 
 
 def _pick_strip(task: tuple[int, int]) -> np.ndarray:
@@ -124,10 +122,7 @@ def _pick_strip(task: tuple[int, int]) -> np.ndarray:
     start, stop = task
     rows = _CWORKER["active"][start:stop]
     avail = _CWORKER["masks"][rows] & ~_CWORKER["forbidden"][rows]
-    backend = _CWORKER.get("backend")
-    if backend is not None:
-        return backend.lowest_set_bit_rows(avail)
-    return lowest_set_bit_rows(avail)
+    return _CWORKER["backend"].lowest_set_bit_rows(avail)
 
 
 def teardown_palette_worker() -> dict | None:
@@ -201,8 +196,8 @@ def parallel_list_color(
         is a true upper bound.
     kernel_backend:
         Optional kernel-backend *name* for the lowest-set-bit pick scan
-        (see :mod:`repro.device.backends`).  ``None`` runs the direct
-        numpy kernel; a name is resolved in-process for serial rounds
+        (see :mod:`repro.device.backends`).  ``None`` runs the numpy
+        backend; a name is resolved in-process for serial rounds
         and worker-side for pool rounds.  Backends are bit-identical,
         so this never changes the coloring.
 
@@ -269,9 +264,7 @@ def parallel_list_color(
     def _round_picks(active: np.ndarray) -> np.ndarray:
         if not use_pool:
             avail = masks[active] & ~forbidden[active]
-            if local_backend is not None:
-                return local_backend.lowest_set_bit_rows(avail)
-            return lowest_set_bit_rows(avail)
+            return local_backend.lowest_set_bit_rows(avail)
         from repro.parallel.pool import imap_delta_install
 
         tasks = _strip_tasks(len(active), executor)

@@ -94,7 +94,7 @@ def build_conflict_graph(
         buckets (see :func:`repro.parallel.pool.gathered_conflict_csr`).
     kernel_backend:
         Kernel-backend *name* (:mod:`repro.device.backends`) for the
-        sweep's hot kernels; ``None`` runs the direct numpy path.
+        sweep's hot kernels; ``None`` means numpy.
         Resolved worker-side, bit-identical across backends.
 
     Returns the CSR conflict graph and the conflict-edge count.

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from repro.coloring.engine import available_engines
 
@@ -63,10 +64,6 @@ class PicassoParams:
         (:mod:`repro.parallel.shm`).  Identical output either way —
         serial, pickled-pool and shm-pool builds are bit-identical per
         seed — so this is purely a communication-cost knob.
-    pin_workers:
-        Pin each pool worker to one core via ``os.sched_setaffinity``
-        so its tile scratch stays NUMA-local; silently ignored on
-        platforms without the call.
     color_engine:
         Which Algorithm 2 implementation colors the conflict graph
         (:mod:`repro.coloring.engine` registry).  ``"auto"`` (default)
@@ -78,9 +75,6 @@ class PicassoParams:
         persistent pool); output is deterministic per seed for any
         worker count.  An explicit engine name always wins over
         ``conflict_order``.
-    color_max_rounds:
-        Safety valve for the round-synchronous engines (``None`` =
-        vertex count + 1, a true upper bound).
     hosts:
         Worker-agent addresses for the distributed backend
         (:mod:`repro.distributed`): ``"host:port,host:port"`` or a
@@ -121,14 +115,14 @@ class PicassoParams:
         per seed.
     max_retries:
         Bounded-failure retries per backend per sweep before failing
-        over (or raising); ``None`` defers to ``REPRO_MAX_RETRIES``
-        (default 2) when supervision is on.
+        over (or raising); ``None`` means the supervisor's default of 2
+        when supervision is on.
     kernel_backend:
         Compute-kernel backend for the hot word kernels
         (:mod:`repro.device.backends` registry): ``"numpy"`` (the
-        vectorized default), ``"numba"`` (compiled CPU loops) or
-        ``"cupy"`` (device arrays).  ``"auto"`` (default) defers to the
-        ``REPRO_KERNEL_BACKEND`` environment variable, then numpy.
+        vectorized default) or ``"numba"`` (compiled CPU loops).
+        ``"auto"`` (default) defers to the ``REPRO_KERNEL_BACKEND``
+        environment variable, then numpy.
         Backends are **bit-identical per seed** — CSR structures and
         colorings never change with this knob, only throughput.  The
         name ships to pool and cluster workers, each of which resolves
@@ -140,9 +134,9 @@ class PicassoParams:
         (:mod:`repro.telemetry`): dispatcher phase spans, worker-side
         strip spans, transport byte counters, install/recycle/retry
         counts, merged into one view on the dispatcher and exposed as
-        ``PicassoResult.telemetry``.  ``None`` (default) defers to the
-        ``REPRO_TELEMETRY`` environment variable (truthy = on); an
-        explicit bool always wins.  Telemetry is **neutral**: runs with
+        ``PicassoResult.telemetry``.  Off by default; the CLI's
+        ``--trace-json`` / ``--metrics-out`` also turn it on for the
+        process.  Telemetry is **neutral**: runs with
         it on and off are bit-identical per seed on every backend — it
         is write-only from the algorithm's point of view.  An execution
         knob, excluded from checkpoint fingerprints.
@@ -153,14 +147,11 @@ class PicassoParams:
     conflict_order: str = "dynamic"
     max_iterations: int = 200
     grow_on_stall: float = 2.0
-    min_palette: int = 1
     tile_budget_bytes: int = 1 << 24
     n_workers: int = 1
     executor: str = "auto"
     shm_gather: bool = False
-    pin_workers: bool = False
     color_engine: str = "auto"
-    color_max_rounds: int | None = None
     hosts: str | tuple | None = None
     checkpoint_dir: str | None = None
     checkpoint_every: int = 1
@@ -168,7 +159,7 @@ class PicassoParams:
     failover: str | tuple | None = None
     max_retries: int | None = None
     kernel_backend: str = "auto"
-    telemetry: bool | None = None
+    telemetry: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.palette_fraction <= 1.0:
@@ -201,8 +192,6 @@ class PicassoParams:
                 f"unknown color_engine {self.color_engine!r}; "
                 f"available: {('auto',) + available_engines()}"
             )
-        if self.color_max_rounds is not None and self.color_max_rounds < 1:
-            raise ValueError("color_max_rounds must be >= 1 or None")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         if self.resume and self.checkpoint_dir is None:
@@ -216,8 +205,8 @@ class PicassoParams:
         if self.max_retries is not None and self.max_retries < 0:
             raise ValueError("max_retries must be >= 0 or None")
         if self.kernel_backend != "auto":
-            # Registered, not available: naming "cupy" on a GPU-less
-            # dispatch host is legitimate when the workers have one
+            # Registered, not available: naming "numba" on a dispatch
+            # host without it is legitimate when the workers have it
             # (and degrades to numpy bit-identically when they don't).
             from repro.device.backends import registered_backends
 
@@ -233,16 +222,32 @@ class PicassoParams:
         retry/failover supervisor."""
         return self.failover is not None or self.max_retries is not None
 
+    def palette_and_list_size(
+        self, n_active: int, palette_fraction: float | None = None
+    ) -> tuple[int, int]:
+        """Table I sizes ``(P_l, L_l)`` for an ``n_active``-vertex
+        subproblem: ``P = max(1, round(f * n))`` and ``L = alpha * ln n``
+        (at least 1, at most ``P``).
+
+        ``palette_fraction`` is the run's current fraction ``f``, which
+        the stall guard may have grown past the configured one
+        (``None`` = :attr:`palette_fraction`).  The logarithm is
+        ``np.log``: the drivers have always used it, and a different
+        ``log`` could round ``L`` differently and change colorings.
+        """
+        if palette_fraction is None:
+            palette_fraction = self.palette_fraction
+        palette = max(1, round(palette_fraction * n_active))
+        raw = max(1, round(self.alpha * np.log(n_active))) if n_active > 1 else 1
+        return palette, min(raw, palette)
+
     def palette_size(self, n_active: int) -> int:
         """``P_l`` for the current subproblem size."""
-        return max(self.min_palette, round(self.palette_fraction * n_active))
+        return self.palette_and_list_size(n_active)[0]
 
     def list_size(self, n_active: int) -> int:
         """``L_l = alpha * ln |V|``, at least 1, at most the palette."""
-        if n_active <= 1:
-            return 1
-        raw = max(1, round(self.alpha * math.log(n_active)))
-        return min(raw, self.palette_size(n_active))
+        return self.palette_and_list_size(n_active)[1]
 
     def resolved_color_engine(self) -> str:
         """The registry name ``color_engine="auto"`` resolves to.
@@ -264,43 +269,15 @@ class PicassoParams:
             order = self.conflict_order if self.conflict_order != "dynamic" else "natural"
             return {"order": order}
         if name == "parallel-list":
-            return {
-                "max_rounds": self.color_max_rounds,
-                "kernel_backend": self.resolved_kernel_backend(),
-            }
+            return {"kernel_backend": self.resolved_kernel_backend()}
         return {}
 
     def resolved_kernel_backend(self) -> str:
-        """The backend name ``kernel_backend="auto"`` resolves to.
+        """The concrete backend name ``kernel_backend`` resolves to
+        (see :func:`repro.device.backends.backend_name`)."""
+        from repro.device.backends import backend_name
 
-        An explicit name wins; ``"auto"`` consults
-        ``REPRO_KERNEL_BACKEND`` (read per call, so a test can flip
-        the env var without rebuilding params), landing on ``"numpy"``
-        when that is unset, empty or itself ``"auto"``.  The result is always a
-        concrete name: it ships in worker payloads, so the dispatcher
-        and every worker agree on what was requested even when a
-        worker's missing runtime makes it degrade to numpy locally.
-        """
-        if self.kernel_backend != "auto":
-            return self.kernel_backend
-        import os
-
-        name = os.environ.get("REPRO_KERNEL_BACKEND", "").strip().lower()
-        return name if name and name != "auto" else "numpy"
-
-    def resolved_telemetry(self) -> bool:
-        """Whether this run records telemetry.
-
-        An explicit ``telemetry`` bool wins; otherwise the
-        ``REPRO_TELEMETRY`` environment variable decides (read per
-        call, like :meth:`resolved_kernel_backend`), defaulting to
-        off — the disabled path is the zero-cost one.
-        """
-        if self.telemetry is not None:
-            return self.telemetry
-        from repro.telemetry import env_enabled
-
-        return env_enabled()
+        return backend_name(self.kernel_backend)
 
     def with_(self, **kwargs) -> "PicassoParams":
         """Functional update."""

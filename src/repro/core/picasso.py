@@ -183,7 +183,7 @@ class Picasso:
         # wrapped in the retry/failover supervisor — same contract,
         # same results, bounded failures recovered instead of raised.
         executor = supervised_executor(
-            params.executor, params.n_workers, pin=params.pin_workers,
+            params.executor, params.n_workers,
             hosts=params.hosts, failover=params.failover,
             max_retries=params.max_retries,
         )
@@ -197,7 +197,7 @@ class Picasso:
         # Telemetry is enable-only here: a run that asks for it turns
         # the process-wide collector on; a run that does not leaves
         # whatever the process (CLI exporters, an enclosing run) chose.
-        if params.resolved_telemetry():
+        if params.telemetry:
             telemetry.enable(True)
         run_telemetry = telemetry.enabled()
         t_start = telemetry.clock()
@@ -253,10 +253,9 @@ class Picasso:
             n = len(active)
             if n == 0:
                 break
-            palette = max(params.min_palette, round(palette_fraction * n))
-            # L = alpha * ln|V| (Table I), capped at the current palette.
-            raw_list = max(1, round(params.alpha * np.log(n))) if n > 1 else 1
-            list_size = min(raw_list, palette)
+            palette, list_size = params.palette_and_list_size(
+                n, palette_fraction
+            )
 
             # Line 6: random candidate lists from a fresh palette.
             t0 = telemetry.clock()

@@ -1,24 +1,24 @@
 """Registry-dispatched compute-kernel backends (see :mod:`.base`).
 
-Importing this package registers the three shipped backends:
-``numpy`` (the default — the existing vectorized kernels, unchanged),
+Importing this package registers the two shipped backends: ``numpy``
+(the default — the existing vectorized kernels, unchanged) and
 ``numba`` (compiled CPU loops, lazily jitted, degrades to numpy when
-numba is absent) and ``cupy`` (device arrays, contract-complete,
-untested in CI).  Selection threads through
-``PicassoParams(kernel_backend=...)`` / ``--kernel-backend`` /
-``REPRO_KERNEL_BACKEND`` and is resolved worker-side via
-:func:`resolve_backend`.
+numba is absent).  A device backend is one more module registered here.
+Selection threads through ``PicassoParams(kernel_backend=...)`` /
+``--kernel-backend`` / ``REPRO_KERNEL_BACKEND``; :func:`backend_name`
+turns a request into a concrete name and :func:`resolve_backend`
+turns it into an instance, worker-side.
 """
 
 from repro.device.backends.base import (
     KernelBackend,
     available_backends,
+    backend_name,
     get_backend,
     register_backend,
     registered_backends,
     resolve_backend,
 )
-from repro.device.backends.cupy_backend import CupyBackend
 from repro.device.backends.numba_backend import NumbaBackend
 from repro.device.backends.numpy_backend import NumpyBackend
 
@@ -26,10 +26,10 @@ __all__ = [
     "KernelBackend",
     "NumpyBackend",
     "NumbaBackend",
-    "CupyBackend",
     "register_backend",
     "get_backend",
     "registered_backends",
     "available_backends",
+    "backend_name",
     "resolve_backend",
 ]

@@ -1,26 +1,26 @@
 """Kernel-backend contract and registry (the accelerator dispatch seam).
 
-The tiled sweep drivers in :mod:`repro.device.tiles` and the coloring
+The tiled sweep driver in :mod:`repro.device.tiles` and the coloring
 engines consume three *hot* word-level primitives — popcount-parity
 (`anticommute`), palette-intersect (`conflict candidate`) and
-lowest-set-bit (`color pick`) — plus two thin per-tile drivers built on
-them.  This module narrows that surface into one typed contract,
-:class:`KernelBackend`, and a name-keyed registry mirroring the
-coloring-engine registry (:mod:`repro.coloring.engine`):
+lowest-set-bit (`color pick`).  This module narrows that surface into
+one typed contract, :class:`KernelBackend`, and a name-keyed registry
+mirroring the coloring-engine registry (:mod:`repro.coloring.engine`):
 
 - :func:`register_backend` / :func:`get_backend` /
   :func:`registered_backends` / :func:`available_backends` — the
   registry.  *Registered* names include backends whose runtime is not
-  importable here (``cupy`` on a CPU host); *available* names are the
-  subset that can actually run, which is what test parametrization and
-  benchmarks iterate.
-- :func:`resolve_backend` — the selection policy shared by the driver
-  and every worker initializer: an explicit name wins, ``None`` /
-  ``"auto"`` falls back to ``REPRO_KERNEL_BACKEND``, then ``"numpy"``.
-  An unavailable or unknown name degrades to numpy with a one-line
-  stderr note (once per name per process) instead of failing the run —
-  backends are bit-identical by contract, so the fallback is always
-  safe, merely slower.
+  importable here (``numba`` on a host without it); *available* names
+  are the subset that can actually run, which is what test
+  parametrization and benchmarks iterate.
+- :func:`backend_name` — the one place ``REPRO_KERNEL_BACKEND`` is
+  read: an explicit name wins, ``None`` / ``"auto"`` falls back to the
+  environment, then ``"numpy"``.
+- :func:`resolve_backend` — the instance policy shared by the driver
+  and every worker initializer.  An unavailable or unknown name
+  degrades to numpy with a one-line stderr note (once per name per
+  process) instead of failing the run — backends are bit-identical by
+  contract, so the fallback is always safe, merely slower.
 
 Every backend must reproduce the numpy reference **bit for bit**: the
 equivalence suites parametrize over :func:`available_backends` and
@@ -37,10 +37,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro import telemetry
-
 if TYPE_CHECKING:
-    from repro.device.tiles import EdgeBlockFn, TileScratch
+    from repro.device.tiles import TileScratch
 
 __all__ = [
     "KernelBackend",
@@ -48,24 +46,23 @@ __all__ = [
     "get_backend",
     "registered_backends",
     "available_backends",
+    "backend_name",
     "resolve_backend",
 ]
 
-#: Environment override consulted by :func:`resolve_backend` when no
-#: explicit backend name is given (mirrors ``REPRO_TELEMETRY`` and the
-#: executor envs).
+#: Environment override consulted by :func:`backend_name` when no
+#: explicit backend name is given.
 ENV_VAR = "REPRO_KERNEL_BACKEND"
 
 
 class KernelBackend(ABC):
     """Contract of one compute-kernel implementation.
 
-    The three abstract primitives are the hot words; the two concrete
-    drivers (:meth:`conflict_hits_block`, :meth:`block_hits`) delegate
-    to the shared tile logic in :mod:`repro.device.tiles` with
-    ``backend=self`` so diagonal masking, dense-vs-gather oracle policy
-    and hit ordering live in exactly one place.  A device backend that
-    wants to fuse the whole tile on-device overrides the drivers too.
+    The three abstract primitives are the hot words.  Diagonal masking,
+    the dense-vs-gather oracle policy and hit ordering live once, in
+    the tile driver :func:`repro.device.tiles.conflict_hits_block`,
+    which calls :meth:`lists_intersect_block` on whichever backend the
+    sweep resolved.
     """
 
     #: Registry name (set by subclasses).
@@ -102,41 +99,6 @@ class KernelBackend(ABC):
     def lowest_set_bit_rows(self, masks: np.ndarray) -> np.ndarray:
         """Lowest set bit per row of a packed ``(n, W)`` matrix
         (int64, -1 for all-zero rows)."""
-
-    def conflict_hits_block(
-        self,
-        colmasks: np.ndarray,
-        r0: int,
-        r1: int,
-        c0: int,
-        c1: int,
-        edge_mask_fn=None,
-        edge_block_fn: EdgeBlockFn | None = None,
-        dense_edge_fraction: float | None = None,
-        scratch: TileScratch | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fused conflict kernel for one tile (see
-        :func:`repro.device.tiles.conflict_hits_block`)."""
-        from repro.device import tiles
-
-        telemetry.count("device.dispatch", backend=self.name)
-        if dense_edge_fraction is None:
-            dense_edge_fraction = tiles.DENSE_EDGE_FRACTION
-        return tiles.conflict_hits_block(
-            colmasks, r0, r1, c0, c1, edge_mask_fn, edge_block_fn,
-            dense_edge_fraction=dense_edge_fraction, scratch=scratch,
-            backend=self,
-        )
-
-    def block_hits(
-        self, block_fn: EdgeBlockFn, r0: int, r1: int, c0: int, c1: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Upper-triangle hits of a block predicate on one tile (see
-        :func:`repro.device.tiles.block_hits`)."""
-        from repro.device import tiles
-
-        telemetry.count("device.dispatch", backend=self.name)
-        return tiles.block_hits(block_fn, r0, r1, c0, c1)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
@@ -198,23 +160,37 @@ def get_backend(name: str) -> KernelBackend:
     return inst
 
 
-def resolve_backend(name: str | None = None) -> KernelBackend:
-    """Selection policy: explicit name, else env, else numpy.
+def backend_name(name: str | None = None) -> str:
+    """The concrete backend name a request resolves to.
 
-    ``None`` / ``"auto"`` consult ``REPRO_KERNEL_BACKEND``; an empty or
-    ``"auto"`` env lands on ``"numpy"``.  A name that is unknown or
-    whose runtime is missing **degrades to numpy** with a one-line
-    stderr note (once per name per process): backends are bit-identical
-    by contract, so a cluster agent without numba still produces the
-    same CSR and colorings, just slower.  This is the worker-side
-    resolver — pool and cluster payload installs ship the *name* and
-    call this in the worker process, so spawned and remote workers pick
-    their backend against their own environment.
+    An explicit name passes through; ``None`` / ``"auto"`` consult
+    ``REPRO_KERNEL_BACKEND`` (read per call, so a test can flip the
+    env var without rebuilding params), landing on ``"numpy"`` when it
+    is unset, empty or itself ``"auto"``.  The result ships in worker
+    payloads, so the dispatcher and every worker agree on what was
+    requested even when a worker's missing runtime makes it degrade to
+    numpy locally.
     """
     if name is None or name == "auto":
-        name = os.environ.get(ENV_VAR, "").strip().lower() or "numpy"
-        if name == "auto":
+        name = os.environ.get(ENV_VAR, "").strip().lower()
+        if not name or name == "auto":
             name = "numpy"
+    return name
+
+
+def resolve_backend(name: str | None = None) -> KernelBackend:
+    """Selection policy: :func:`backend_name`, then the instance.
+
+    A name that is unknown or whose runtime is missing **degrades to
+    numpy** with a one-line stderr note (once per name per process):
+    backends are bit-identical by contract, so a cluster agent without
+    numba still produces the same CSR and colorings, just slower.
+    This is the worker-side resolver — pool and cluster payload
+    installs ship the *name* and call this in the worker process, so
+    spawned and remote workers pick their backend against their own
+    environment.
+    """
+    name = backend_name(name)
     cls = _REGISTRY.get(name)
     if cls is not None and cls.is_available():
         return get_backend(name)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.device.kernels import EdgeMaskFn, conflict_pair_hits, exclusive_scan
+from repro.device.kernels import EdgeMaskFn, conflict_pair_hits
 from repro.device.sim import DeviceSim
 from repro.device.tiles import (
     DEFAULT_TILE_BYTES,
@@ -31,7 +31,7 @@ from repro.device.tiles import (
     tile_edge,
     tile_scratch_bytes,
 )
-from repro.graphs.csr import CSRGraph
+from repro.graphs.csr import CSRGraph, csr_from_coo_chunks
 from repro.parallel.executor import Executor, owned_executor
 from repro.parallel.pool import conflict_hit_chunks
 
@@ -113,7 +113,7 @@ def build_conflict_csr(
         delta payload (:mod:`repro.parallel.pool`).
     kernel_backend:
         Kernel-backend *name* (:mod:`repro.device.backends`) for the
-        sweep's hot kernels; ``None`` keeps the direct numpy path.
+        sweep's hot kernels; ``None`` means numpy.
 
     Returns
     -------
@@ -254,23 +254,18 @@ def _algorithm3(
                 # buffer exports.
                 ei = ej = None
 
-        # Degree counters in one pass over the filled COO region —
-        # O(|Ec| + n), independent of how many kernel launches fed it.
-        counts = np.bincount(coo_u[:n_edges], minlength=n)
-        counts += np.bincount(coo_v[:n_edges], minlength=n)
-        offsets = exclusive_scan(counts)
-
         # CSR needs each edge twice; assemble on device only if the COO
         # list occupies at most half of the *allocated* region (Alg. 3
         # line 5) — the CSR targets are then scattered into the spare
         # half of the same allocation, so no further device memory is
         # requested.  Otherwise the unordered list is read back and
-        # converted on the host (lines 7-8).
+        # converted on the host (lines 7-8).  Either way the filled COO
+        # prefix goes through the same two-pass count-then-fill
+        # assembly as every host build (degree scan, exclusive scan,
+        # scatter), so device and host CSRs are identical byte for byte.
         csr_payload = 2 * n_edges * id_bytes
         on_device = csr_payload <= coo_bytes // 2
-        graph = _assemble_csr(
-            offsets, coo_u[:n_edges], coo_v[:n_edges], id_dtype
-        )
+        graph = csr_from_coo_chunks([(coo_u[:n_edges], coo_v[:n_edges])], n)
 
     stats = BuildStats(
         n_vertices=n,
@@ -283,13 +278,3 @@ def _algorithm3(
         gather="shm" if use_shm else "pickle",
     )
     return graph, stats
-
-
-def _assemble_csr(
-    offsets: np.ndarray, u: np.ndarray, v: np.ndarray, id_dtype
-) -> CSRGraph:
-    """Scatter the unordered COO list into CSR rows (both directions)."""
-    src = np.concatenate([u, v]).astype(np.int64)
-    dst = np.concatenate([v, u]).astype(id_dtype)
-    order = np.argsort(src, kind="stable")
-    return CSRGraph(offsets=offsets, targets=dst[order])

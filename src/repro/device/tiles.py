@@ -56,6 +56,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro import telemetry
 from repro.util.bits import anybit_block, parity_block
 
 if TYPE_CHECKING:
@@ -264,11 +265,11 @@ def conflict_hits_block(
     of the tile survived (the broadcast reads each operand row once,
     beating the gather as density grows).
 
-    ``backend`` (a :class:`~repro.device.backends.KernelBackend`)
-    supplies the palette-intersection kernel when given; ``None`` runs
-    the numpy kernel directly — the exact legacy path, no dispatch.
-    The survivor bookkeeping, diagonal masking and oracle policy stay
-    here either way, so every backend shares one driver.
+    ``backend`` (a :class:`~repro.device.backends.KernelBackend`,
+    ``None`` = numpy) supplies the palette-intersection kernel and is
+    counted as one ``device.dispatch{backend=...}``.  The survivor
+    bookkeeping, diagonal masking and oracle policy stay here, so
+    every backend shares this one driver.
 
     Hits are returned as global index arrays in row-major tile order
     (``i`` ascending, ``j`` ascending within a row) — the order the
@@ -277,9 +278,12 @@ def conflict_hits_block(
     if edge_mask_fn is None and edge_block_fn is None:
         raise ValueError("need edge_mask_fn or edge_block_fn")
     if backend is None:
-        hit = lists_intersect_block(colmasks, r0, r1, c0, c1, scratch)
-    else:
-        hit = backend.lists_intersect_block(colmasks, r0, r1, c0, c1, scratch)
+        # Deferred: the backend package imports this module.
+        from repro.device.backends import get_backend
+
+        backend = get_backend("numpy")
+    telemetry.count("device.dispatch", backend=backend.name)
+    hit = backend.lists_intersect_block(colmasks, r0, r1, c0, c1, scratch)
     if r0 == c0:
         hit &= upper_triangle_mask(r0, r1, c0, c1)
     li, lj = np.nonzero(hit)
@@ -314,19 +318,15 @@ def conflict_hits_strip(
     so a partitioned sweep that gathers strip results in strip order
     reproduces the serial sweep's global hit stream exactly.  This is
     the unit of work an execution backend ships to a worker process —
-    one task, one ``(i, j)`` result pair.  ``backend`` dispatches the
-    per-tile kernel (``None`` = the direct numpy path).
+    one task, one ``(i, j)`` result pair.
     """
     us: list[np.ndarray] = []
     vs: list[np.ndarray] = []
-    block_op = (
-        backend.conflict_hits_block if backend is not None
-        else conflict_hits_block
-    )
     for r0, r1, c0, c1 in tiles:
-        i, j = block_op(
+        i, j = conflict_hits_block(
             colmasks, r0, r1, c0, c1, edge_mask_fn, edge_block_fn,
             dense_edge_fraction=dense_edge_fraction, scratch=scratch,
+            backend=backend,
         )
         if len(i):
             us.append(i)
@@ -343,9 +343,7 @@ def block_hits(
     ``(i, j)`` index arrays — the shared per-tile body of
     :func:`sweep_block_hits` and :func:`block_hits_strip` (one place to
     keep the diagonal masking, so serial and parallel explicit-builder
-    sweeps cannot diverge).  This is the inner block op a
-    :class:`~repro.device.backends.KernelBackend` may override to fuse
-    the predicate and the masking on-device."""
+    sweeps cannot diverge)."""
     blk = np.asarray(block_fn(r0, r1, c0, c1)).astype(bool, copy=False)
     if r0 == c0:
         blk = blk & upper_triangle_mask(r0, r1, c0, c1)
@@ -356,19 +354,15 @@ def block_hits(
 
 
 def block_hits_strip(
-    block_fn: EdgeBlockFn,
-    tiles,
-    backend: KernelBackend | None = None,
+    block_fn: EdgeBlockFn, tiles
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-worker task of the generic tiled pair sweep: concatenate the
     upper-triangle hits of ``block_fn`` over a strip of tiles (the
-    parallel unit behind :func:`sweep_block_hits`).  ``backend``
-    dispatches the inner block op (``None`` = :func:`block_hits`)."""
+    parallel unit behind :func:`sweep_block_hits`)."""
     us: list[np.ndarray] = []
     vs: list[np.ndarray] = []
-    block_op = backend.block_hits if backend is not None else block_hits
     for r0, r1, c0, c1 in tiles:
-        i, j = block_op(block_fn, r0, r1, c0, c1)
+        i, j = block_hits(block_fn, r0, r1, c0, c1)
         if len(i):
             us.append(i)
             vs.append(j)
@@ -391,22 +385,15 @@ def sweep_conflict_hits(
     if tile is None:
         tile = tile_edge(tile_bytes, n=n)
     scratch = TileScratch(tile)
-    block_op = (
-        backend.conflict_hits_block if backend is not None
-        else conflict_hits_block
-    )
     for r0, r1, c0, c1 in iter_tiles(n, tile):
-        yield block_op(
+        yield conflict_hits_block(
             colmasks, r0, r1, c0, c1, edge_mask_fn, edge_block_fn,
-            scratch=scratch,
+            scratch=scratch, backend=backend,
         )
 
 
 def sweep_block_hits(
-    n: int,
-    block_fn: EdgeBlockFn,
-    tile: int,
-    backend: KernelBackend | None = None,
+    n: int, block_fn: EdgeBlockFn, tile: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Generic tiled pair sweep: yield global ``(i, j)`` where
     ``block_fn``'s block is nonzero, upper triangle only.
@@ -414,9 +401,8 @@ def sweep_block_hits(
     Used by the explicit graph builders, whose predicate (anticommute /
     commute) applies to every pair rather than being conflict-filtered.
     """
-    block_op = backend.block_hits if backend is not None else block_hits
     for r0, r1, c0, c1 in iter_tiles(n, tile):
-        yield block_op(block_fn, r0, r1, c0, c1)
+        yield block_hits(block_fn, r0, r1, c0, c1)
 
 
 def count_block_hits(n: int, block_fn: EdgeBlockFn, tile: int) -> int:

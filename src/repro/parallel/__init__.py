@@ -14,7 +14,6 @@ from repro.parallel.executor import (
     SerialExecutor,
     default_start_method,
     make_executor,
-    pin_current_worker,
 )
 from repro.parallel.partition import (
     PairRange,
@@ -44,7 +43,6 @@ __all__ = [
     "SerialExecutor",
     "default_start_method",
     "make_executor",
-    "pin_current_worker",
     "ShmCooRegion",
     "ShmGatherResult",
     "estimate_conflict_edges",

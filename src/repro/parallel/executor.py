@@ -16,9 +16,7 @@ handed to an :class:`Executor`, which decides where the tasks run.
   the initializer exactly once per install — and repeat installs that
   present the same ``payload_token`` may ship only a delta (the worker
   keeps the token-cached static part; see
-  :mod:`repro.parallel.pool`).  Optional ``pin=True`` pins each worker
-  to one core via ``os.sched_setaffinity`` so its tile scratch stays
-  NUMA-local (a silent no-op on platforms without the call).
+  :mod:`repro.parallel.pool`).
 - :class:`repro.distributed.cluster.ClusterExecutor` (spec
   ``"cluster"``, or ``"auto"`` with ``hosts=``) — the same contract
   sharded over worker agents on other hosts through the socket
@@ -57,7 +55,6 @@ __all__ = [
     "make_executor",
     "owned_executor",
     "default_start_method",
-    "pin_current_worker",
     "token_channel",
 ]
 
@@ -105,50 +102,19 @@ def default_start_method() -> str:
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
-def pin_current_worker(rank: int) -> bool:
-    """Pin the calling process to one CPU of its allowed set.
-
-    Worker ``rank`` takes CPU ``allowed[rank % len(allowed)]``, so a
-    pool of ``n_workers <= cores`` lands one worker per core and tile
-    scratch stays core-local.  Returns True when the affinity call
-    succeeded; platforms without ``sched_setaffinity`` (macOS, Windows)
-    and restricted environments degrade to a silent no-op (False).
-    """
-    getaff = getattr(os, "sched_getaffinity", None)
-    setaff = getattr(os, "sched_setaffinity", None)
-    if getaff is None or setaff is None:
-        return False
-    try:
-        allowed = sorted(getaff(0))
-        if not allowed:
-            return False
-        setaff(0, {allowed[rank % len(allowed)]})
-        return True
-    except OSError:
-        return False
-
-
 # -- pool-worker bootstrap ------------------------------------------------
 #
-# Installed once per worker process at pool creation.  The rank counter
-# hands each worker a distinct index (for pinning); the barrier gates
-# payload broadcasts so each of the pool's workers runs an install
+# Installed once per worker process at pool creation.  The barrier
+# gates payload broadcasts so each of the pool's workers runs an install
 # exactly once (a worker that finished its install blocks on the
 # barrier, so the next install task must go to a different worker).
 
 _POOL_LOCAL: dict[str, Any] = {}
 
 
-def _bootstrap_pool_worker(
-    rank_counter: Any, barrier: Any, pin: bool, cancel: Any = None
-) -> None:
-    with rank_counter.get_lock():
-        rank = rank_counter.value
-        rank_counter.value += 1
-    _POOL_LOCAL["rank"] = rank
+def _bootstrap_pool_worker(barrier: Any, cancel: Any = None) -> None:
     _POOL_LOCAL["barrier"] = barrier
     _POOL_LOCAL["cancel"] = cancel
-    _POOL_LOCAL["pinned"] = pin_current_worker(rank) if pin else False
     # This process is a pool worker: its telemetry is a delta shipped
     # home on the finalize broadcast, not the dispatcher's merged view.
     telemetry.mark_worker_process()
@@ -394,10 +360,6 @@ class PoolExecutor(Executor):
     start_method:
         ``"fork"``, ``"spawn"``, ``"forkserver"`` or ``None`` to pick
         :func:`default_start_method`.
-    pin:
-        Pin each worker to one core via ``os.sched_setaffinity``
-        (worker ``rank`` -> allowed CPU ``rank % n_cpus``).  A silent
-        no-op on platforms without the call.
     """
 
     supports_payload_cache = True
@@ -407,7 +369,6 @@ class PoolExecutor(Executor):
         self,
         n_workers: int = 2,
         start_method: str | None = None,
-        pin: bool = False,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
@@ -419,7 +380,6 @@ class PoolExecutor(Executor):
         super().__init__()
         self.n_workers = n_workers
         self.start_method = start_method
-        self.pin = pin
         self._pool: mp_pool.Pool | None = None
         #: Worker pid set at install time, per token channel — a
         #: respawned worker invalidates the delta path for a channel.
@@ -454,13 +414,12 @@ class PoolExecutor(Executor):
         pool = self._pool
         if pool is None:
             ctx = mp.get_context(self.resolved_start_method())
-            rank_counter = ctx.Value("i", 0)
             barrier = ctx.Barrier(self.n_workers)
             self._cancel = ctx.Event()
             pool = ctx.Pool(
                 self.n_workers,
                 initializer=_bootstrap_pool_worker,
-                initargs=(rank_counter, barrier, self.pin, self._cancel),
+                initargs=(barrier, self._cancel),
             )
             self._pool = pool
             self._clear_tokens()
@@ -664,7 +623,6 @@ def make_executor(
     spec: str | Executor = "auto",
     n_workers: int = 1,
     start_method: str | None = None,
-    pin: bool = False,
     hosts: str | Sequence[str] | None = None,
 ) -> Executor:
     """Resolve an executor spec to a backend instance.
@@ -678,7 +636,7 @@ def make_executor(
     agents named by ``hosts`` (``"host:port,host:port"`` or a
     sequence), falling back to the ``REPRO_HOSTS`` environment
     variable.  An :class:`Executor` instance passes through untouched
-    (``pin``/``start_method``/``hosts`` are ignored for it; the
+    (``start_method``/``hosts`` are ignored for it; the
     instance's owner configured and closes it).  Spec-created executors
     are owned by the caller, who must close them.
     """
@@ -699,11 +657,11 @@ def make_executor(
     if spec == "serial":
         return SerialExecutor()
     if spec == "pool":
-        return PoolExecutor(max(1, n_workers), start_method, pin=pin)
+        return PoolExecutor(max(1, n_workers), start_method)
     if spec == "auto":
         if n_workers <= 1:
             return SerialExecutor()
-        return PoolExecutor(n_workers, start_method, pin=pin)
+        return PoolExecutor(n_workers, start_method)
     raise ValueError(f"unknown executor spec {spec!r}")
 
 
@@ -712,7 +670,6 @@ def owned_executor(
     spec: str | Executor = "auto",
     n_workers: int = 1,
     start_method: str | None = None,
-    pin: bool = False,
     hosts: str | Sequence[str] | None = None,
 ) -> Iterator[Executor]:
     """The executor-lifecycle contract as a context manager.
@@ -723,7 +680,7 @@ def owned_executor(
     Every build function that accepts a spec-or-instance uses this one
     expression of the ownership rule instead of hand-rolling it.
     """
-    ex = make_executor(spec, n_workers, start_method, pin, hosts)
+    ex = make_executor(spec, n_workers, start_method, hosts)
     try:
         yield ex
     finally:

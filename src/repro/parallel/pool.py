@@ -125,18 +125,14 @@ def payload_token_for(source) -> int:
 
 
 def _backend_for(kernel_backend: str | None):
-    """Resolve a kernel-backend *name* to an instance, lazily.
-
-    ``None`` means "no dispatch" — the tiles drivers run their direct
-    numpy path, exactly the pre-seam code.  The import is deferred so
-    the pool module never drags the backend registry (and through it
-    the device package) into its own import cycle.
+    """Resolve a kernel-backend *name* to an instance (``None`` =
+    numpy).  The import is deferred so the pool module never drags the
+    backend registry (and through it the device package) into its own
+    import cycle.
     """
-    if kernel_backend is None:
-        return None
     from repro.device.backends import resolve_backend
 
-    return resolve_backend(kernel_backend)
+    return resolve_backend(kernel_backend or "numpy")
 
 
 def sweep_payload(
@@ -362,7 +358,7 @@ def _run_tile_strip(task: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
             _WORKER["edge_mask_fn"],
             _WORKER["edge_block_fn"],
             scratch=_WORKER["scratch"],
-            backend=_WORKER.get("backend"),
+            backend=_WORKER["backend"],
         )
     telemetry.observe("pool.strip_hits", float(len(u)))
     return u, v
@@ -380,17 +376,12 @@ def _init_block_worker(payload: dict) -> None:
     _WORKER.clear()
     _WORKER.update(payload)
     _WORKER["grid"] = tile_grid(payload["n"], payload["tile"])
-    _WORKER["backend"] = _backend_for(payload.get("kernel_backend"))
 
 
 def _run_block_strip(task: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Worker task: generic block predicate over one strip of tiles."""
     start, stop = task
-    return block_hits_strip(
-        _WORKER["block_fn"],
-        _WORKER["grid"][start:stop],
-        backend=_WORKER.get("backend"),
-    )
+    return block_hits_strip(_WORKER["block_fn"], _WORKER["grid"][start:stop])
 
 
 def strip_shares(executor: Executor, n_tasks: int) -> list[int] | None:
@@ -610,23 +601,17 @@ def block_sweep_chunks(
     block_fn: EdgeBlockFn,
     tile: int,
     executor: Executor | None = None,
-    kernel_backend: str | None = None,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Executor-routed generic tiled pair sweep (explicit graph
     builders): yield upper-triangle ``(i, j)`` hits of ``block_fn`` in
     canonical tile order, strip-parallel when a pool backend is given."""
     if executor is None or isinstance(executor, SerialExecutor):
-        yield from sweep_block_hits(
-            n, block_fn, tile, backend=_backend_for(kernel_backend)
-        )
+        yield from sweep_block_hits(n, block_fn, tile)
         return
     n_tasks = max(1, executor.n_workers) * TASKS_PER_WORKER
     blocks = partition_tiles(n, tile, n_tasks)
     tasks = [(b.start, b.stop) for b in blocks if len(b)]
-    payload = {
-        "n": n, "tile": tile, "block_fn": block_fn,
-        "kernel_backend": kernel_backend,
-    }
+    payload = {"n": n, "tile": tile, "block_fn": block_fn}
     try:
         yield from executor.imap(
             _run_block_strip, tasks, initializer=_init_block_worker,

@@ -82,17 +82,17 @@ class PauliRelationSource:
     def nbytes(self) -> int:
         return self.pauli_set.nbytes + self._oracle.nbytes
 
-    def validate(self, colors: np.ndarray, sample_pairs: int | None = None) -> bool:
-        from repro.util.chunking import iter_pair_chunks
+    def validate(self, colors: np.ndarray) -> bool:
+        """Every vertex colored and no incompatible pair inside a color
+        class (only same-color pairs are tested)."""
+        from repro.util.chunking import iter_same_color_pairs
 
         colors = np.asarray(colors)
-        if (colors < 0).any():
+        if len(colors) != self.n or (colors < 0).any():
             return False
-        for i, j in iter_pair_chunks(self.n, 1 << 18):
-            bad = (colors[i] == colors[j]) & self.edge_mask(i, j).astype(bool)
-            if bad.any():
-                return False
-        return True
+        return not any(
+            self.edge_mask(i, j).any() for i, j in iter_same_color_pairs(colors)
+        )
 
 
 @dataclass

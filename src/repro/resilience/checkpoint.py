@@ -109,16 +109,21 @@ def checkpoint_fingerprint(params, n_total: int) -> str:
     contract (a checkpoint written under ``--hosts`` resumes under
     ``--executor serial`` and still matches).
     """
+    # The literals ``1`` and ``None`` stand where two retired params
+    # fields sat — the palette floor and the round cap of the parallel
+    # engines, whose only values they ever held and which are now
+    # built in.  Keeping the key byte for byte keeps the digest, so
+    # checkpoints written before those fields went still resume.
     key = repr((
         int(n_total),
         float(params.palette_fraction),
         float(params.alpha),
-        int(params.min_palette),
+        1,
         float(params.grow_on_stall),
         int(params.max_iterations),
         str(params.conflict_order),
         str(params.resolved_color_engine()),
-        params.color_max_rounds,
+        None,
     ))
     return hashlib.sha256(key.encode()).hexdigest()[:16]
 

@@ -41,7 +41,6 @@ attempt, exactly as without the supervisor.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections.abc import Callable, Hashable, Iterator, Sequence
@@ -65,13 +64,12 @@ __all__ = [
     "DEFAULT_BACKOFF_BASE_S",
 ]
 
-#: Retries per backend before failing over (or giving up), overridable
-#: via ``REPRO_MAX_RETRIES``.
-DEFAULT_MAX_RETRIES = int(os.environ.get("REPRO_MAX_RETRIES", "2"))
+#: Retries per backend before failing over (or giving up).
+DEFAULT_MAX_RETRIES = 2
 
 #: First-retry sleep; doubles per retry, capped at
-#: :data:`BACKOFF_CAP_S`.  Overridable via ``REPRO_BACKOFF_BASE_S``.
-DEFAULT_BACKOFF_BASE_S = float(os.environ.get("REPRO_BACKOFF_BASE_S", "0.25"))
+#: :data:`BACKOFF_CAP_S`.
+DEFAULT_BACKOFF_BASE_S = 0.25
 
 #: Upper bound on any single backoff sleep.
 BACKOFF_CAP_S = 30.0
@@ -372,7 +370,6 @@ def supervised_executor(
     spec: str | Executor = "auto",
     n_workers: int = 1,
     start_method: str | None = None,
-    pin: bool = False,
     hosts: str | Sequence[str] | None = None,
     failover: str | Sequence[str] | None = None,
     max_retries: int | None = None,
@@ -393,10 +390,10 @@ def supervised_executor(
     """
     chain = _parse_chain(failover)
     if not chain and max_retries is None:
-        return make_executor(spec, n_workers, start_method, pin, hosts)
+        return make_executor(spec, n_workers, start_method, hosts)
 
     def build(entry: str | Executor) -> Executor:
-        ex = make_executor(entry, n_workers, start_method, pin, hosts)
+        ex = make_executor(entry, n_workers, start_method, hosts)
         # Under supervision a cluster backend redistributes a dead
         # agent's strips to the survivors first; only when that is
         # impossible (no survivors, dispatch/install failure) does the

@@ -67,7 +67,7 @@ def semi_streaming_color(
     # without them this is plain make_executor.  Spec-created either
     # way, so this function owns and closes it.
     executor = supervised_executor(
-        params.executor, params.n_workers, pin=params.pin_workers,
+        params.executor, params.n_workers,
         hosts=params.hosts, failover=params.failover,
         max_retries=params.max_retries,
     )
@@ -97,9 +97,9 @@ def _semi_streaming_color(stream, params, rng, color_engine, executor):
         active_ids = np.nonzero(active)[0]
         local_of[active_ids] = np.arange(n_active)
 
-        palette = max(params.min_palette, round(palette_fraction * n_active))
-        raw_list = max(1, round(params.alpha * np.log(n_active))) if n_active > 1 else 1
-        list_size = min(raw_list, palette)
+        palette, list_size = params.palette_and_list_size(
+            n_active, palette_fraction
+        )
         col_lists, colmasks = assign_color_lists(n_active, palette, list_size, rng)
 
         # Single pass: retain only live conflicted edges.

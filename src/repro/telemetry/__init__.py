@@ -7,8 +7,8 @@ distributed, resilience, device — can instrument itself without
 layering cycles.
 
 Disabled (the default) the hooks are single-bool no-ops; enabled (via
-``PicassoParams(telemetry=True)``, ``REPRO_TELEMETRY=1``, or the CLI
-``--trace-json`` / ``--metrics-out`` flags) each process accumulates
+``PicassoParams(telemetry=True)`` or the CLI ``--trace-json`` /
+``--metrics-out`` flags) each process accumulates
 into a local registry and worker/agent deltas are merged into the
 dispatcher's view on the existing finalize channels.  See
 :mod:`repro.telemetry.core` for the model and
@@ -16,7 +16,6 @@ dispatcher's view on the existing finalize channels.  See
 """
 
 from repro.telemetry.core import (
-    ENV_VAR,
     Registry,
     absorb_snapshots,
     clock,
@@ -25,7 +24,6 @@ from repro.telemetry.core import (
     drain_worker_snapshot,
     enable,
     enabled,
-    env_enabled,
     gauge_max,
     is_snapshot,
     is_worker_process,
@@ -44,7 +42,6 @@ from repro.telemetry.export import (
 )
 
 __all__ = [
-    "ENV_VAR",
     "Registry",
     "absorb_snapshots",
     "clock",
@@ -53,7 +50,6 @@ __all__ = [
     "drain_worker_snapshot",
     "enable",
     "enabled",
-    "env_enabled",
     "gauge_max",
     "is_snapshot",
     "is_worker_process",

@@ -30,17 +30,14 @@ Two invariants keep telemetry *neutral*:
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 from typing import Any
 
 __all__ = [
-    "ENV_VAR",
     "clock",
     "enabled",
     "enable",
-    "env_enabled",
     "count",
     "gauge_max",
     "observe",
@@ -55,13 +52,6 @@ __all__ = [
     "is_snapshot",
     "Registry",
 ]
-
-#: Environment knob: a truthy value enables telemetry when
-#: ``PicassoParams(telemetry=None)`` leaves the choice open (mirrors
-#: ``REPRO_KERNEL_BACKEND``).
-ENV_VAR = "REPRO_TELEMETRY"
-
-_TRUTHY = frozenset({"1", "true", "on", "yes"})
 
 #: Marker key identifying a registry snapshot dict on the wire, so
 #: finalize-channel return values that are *not* telemetry (other
@@ -315,11 +305,6 @@ def enable(on: bool = True) -> None:
     """Turn recording on/off in this process (the registry is kept)."""
     global _ENABLED
     _ENABLED = bool(on)
-
-
-def env_enabled() -> bool:
-    """Whether ``REPRO_TELEMETRY`` asks for telemetry."""
-    return os.environ.get(ENV_VAR, "").strip().lower() in _TRUTHY
 
 
 def registry() -> Registry:

@@ -150,3 +150,46 @@ def iter_pair_chunks(n: int, chunk_size: int) -> Iterator[tuple[np.ndarray, np.n
         stop = min(start + chunk_size, total)
         k = np.arange(start, stop, dtype=np.int64)
         yield pair_index_to_ij(k, n)
+
+
+def iter_same_color_pairs(
+    colors: np.ndarray, chunk_size: int = 1 << 18
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(i, j)`` index arrays covering every pair ``i < j`` with
+    ``colors[i] == colors[j]``.
+
+    Only the ``sum_c |C|(|C|-1)/2`` within-class pairs are generated,
+    not all ``n(n-1)/2``: a coloring certificate needs no other pair.
+    Vertices are sorted by color (stably, so ``i < j`` within a class);
+    each sorted position pairs with the later positions of its class,
+    and runs of positions are batched so a chunk holds about
+    ``chunk_size`` pairs (a single vertex with more partners than that
+    is one chunk on its own).
+    """
+    if chunk_size <= 0:
+        raise ValueError("chunk_size must be positive")
+    colors = np.asarray(colors)
+    n = len(colors)
+    if n < 2:
+        return
+    order = np.argsort(colors, kind="stable")
+    ranked = colors[order]
+    pos = np.arange(n, dtype=np.int64)
+    # Exclusive end of each position's color run, then the number of
+    # same-color partners after it and their running total.
+    run_end = np.append(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1, n)
+    later = run_end[np.searchsorted(run_end, pos, side="right")] - pos - 1
+    before = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(later, out=before[1:])
+    p0 = 0
+    while p0 < n:
+        p1 = int(np.searchsorted(before, before[p0] + chunk_size, side="right")) - 1
+        p1 = min(max(p1, p0 + 1), n)
+        m = int(before[p1] - before[p0])
+        if m:
+            cnt = later[p0:p1]
+            ip = np.repeat(pos[p0:p1], cnt)
+            first = np.repeat(before[p0:p1] - before[p0], cnt)
+            jp = ip + 1 + np.arange(m, dtype=np.int64) - first
+            yield order[ip], order[jp]
+        p0 = p1

@@ -1,5 +1,8 @@
 """Tests for PicassoParams and presets."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.core import PicassoParams, aggressive_params, normal_params
@@ -36,12 +39,16 @@ class TestValidation:
         assert p.executor == "auto"
         assert p.with_(n_workers=4, executor="pool").n_workers == 4
 
+    def test_field_count_and_telemetry_default(self):
+        assert len(dataclasses.fields(PicassoParams)) == 18
+        assert PicassoParams().telemetry is False
+
 
 class TestSizing:
     def test_palette_size_rounds(self):
         p = PicassoParams(palette_fraction=0.125)
         assert p.palette_size(1000) == 125
-        assert p.palette_size(2) >= 1  # min_palette floor
+        assert p.palette_size(2) >= 1  # palette floor of 1
 
     def test_list_size_capped_by_palette(self):
         p = PicassoParams(palette_fraction=0.03, alpha=30.0)
@@ -57,6 +64,23 @@ class TestSizing:
         lo = PicassoParams(alpha=0.5).list_size(10_000)
         hi = PicassoParams(alpha=4.5).list_size(10_000)
         assert hi > lo
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 10_000])
+    @pytest.mark.parametrize("fraction", [None, 0.03, 0.5, 1.0])
+    def test_palette_and_list_size_is_table_one(self, n, fraction):
+        # P = max(1, round(f n)), L = min(max(1, round(alpha ln n)), P),
+        # with f the run's current (possibly grown) palette fraction.
+        p = PicassoParams(palette_fraction=0.125, alpha=3.0)
+        f = 0.125 if fraction is None else fraction
+        palette = max(1, round(f * n))
+        raw = max(1, round(3.0 * np.log(n))) if n > 1 else 1
+        assert p.palette_and_list_size(n, fraction) == (
+            palette, min(raw, palette)
+        )
+        if fraction is None:
+            assert p.palette_and_list_size(n) == (
+                p.palette_size(n), p.list_size(n)
+            )
 
 
 class TestPresets:

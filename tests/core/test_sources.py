@@ -57,10 +57,42 @@ class TestPauliComplementSource:
         colors[0] = -1
         assert not src.validate(colors)
 
-    def test_validate_sampled(self):
-        ps = random_pauli_set(40, 5, seed=5)
+    def test_validate_rejects_one_commuting_pair_at_high_ids(self):
+        # A rainbow coloring except for one same-color commuting pair
+        # among the last vertices: the within-class check must find it.
+        ps = random_pauli_set(300, 6, seed=6)
         src = PauliComplementSource(ps)
-        assert src.validate(np.arange(40), sample_pairs=100)
+        hi = np.arange(250, 300)
+        ii, jj = np.triu_indices(len(hi), k=1)
+        commute = src.edge_mask(hi[ii], hi[jj]).astype(bool)
+        a, b = hi[ii[commute][-1]], hi[jj[commute][-1]]
+        colors = np.arange(300)
+        assert src.validate(colors)
+        colors[b] = colors[a]
+        assert not src.validate(colors)
+
+    def test_validate_rejects_vertex_left_uncolored(self):
+        ps = random_pauli_set(50, 5, seed=7)
+        src = PauliComplementSource(ps)
+        colors = np.arange(50)
+        colors[49] = -1
+        assert not src.validate(colors)
+        # A lone -1 shares its "class" with nobody: the uncolored check
+        # must reject it on its own.
+        assert not src.validate(np.full(50, -1))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_validate_agrees_with_all_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        ps = random_pauli_set(60, 4, seed=seed)
+        src = PauliComplementSource(ps)
+        ii, jj = np.triu_indices(60, k=1)
+        commute = src.edge_mask(ii, jj).astype(bool)
+        colorings = [rng.integers(0, k, 60) for k in (2, 8, 30, 55)]
+        colorings.append(rng.permutation(60))  # rainbow: always proper
+        for colors in colorings:
+            brute = not (commute & (colors[ii] == colors[jj])).any()
+            assert src.validate(colors) == brute
 
 
 class TestExplicitGraphSource:

@@ -29,9 +29,9 @@ BACKENDS = available_backends()
 
 
 def test_registry_contents():
-    # All three implementations register even when their runtime is
+    # Both implementations register even when their runtime is
     # missing; numpy is always available.
-    assert registered_backends() == ("cupy", "numba", "numpy")
+    assert registered_backends() == ("numba", "numpy")
     assert "numpy" in BACKENDS
     assert set(BACKENDS) <= set(registered_backends())
 
@@ -112,11 +112,18 @@ def test_params_resolved_kernel_backend(monkeypatch):
     monkeypatch.delenv(backends_base.ENV_VAR, raising=False)
     assert PicassoParams().resolved_kernel_backend() == "numpy"
     assert (
-        PicassoParams(kernel_backend="cupy").resolved_kernel_backend()
-        == "cupy"
+        PicassoParams(kernel_backend="numba").resolved_kernel_backend()
+        == "numba"
     )
     monkeypatch.setenv(backends_base.ENV_VAR, "numba")
     assert PicassoParams().resolved_kernel_backend() == "numba"
+    # The params, the instance resolver and the name helper read the
+    # environment through one function, so they cannot disagree.
+    for env in ("", "auto", "numpy", " NUMBA ", "hexagon"):
+        monkeypatch.setenv(backends_base.ENV_VAR, env)
+        name = backends_base.backend_name(None)
+        assert PicassoParams().resolved_kernel_backend() == name
+        assert name == (env.strip().lower() if env.strip() not in ("", "auto") else "numpy")
 
 
 # -- per-bit Python references -------------------------------------------
@@ -219,35 +226,42 @@ def test_lowest_set_bit_rows_empty_and_shape(backend):
         backend.lowest_set_bit_rows(np.zeros(4, dtype=np.uint64))
 
 
-# -- backend-dispatched drivers ------------------------------------------
+# -- the one tile driver --------------------------------------------------
 
 
 def test_conflict_hits_block_dispatches(backend):
+    from repro import telemetry
     from repro.core.palette import assign_color_lists
+    from repro.core.sources import PauliComplementSource
     from repro.device.tiles import conflict_hits_block
 
     rng = np.random.default_rng(3)
     _, colmasks = assign_color_lists(40, 20, 3, rng)
-    ps = random_pauli_set(40, 5, seed=4)
-    from repro.core.sources import PauliComplementSource
-
-    src = PauliComplementSource(ps)
-    for tile in [(0, 40, 0, 40), (3, 20, 17, 40)]:
-        got = backend.conflict_hits_block(
-            colmasks, *tile, edge_mask_fn=src.edge_mask
-        )
-        ref = conflict_hits_block(colmasks, *tile, src.edge_mask)
-        np.testing.assert_array_equal(got[0], ref[0])
-        np.testing.assert_array_equal(got[1], ref[1])
-
-
-def test_block_hits_dispatches(backend):
-    ps = random_pauli_set(30, 5, seed=5)
-    from repro.core.sources import PauliComplementSource
-    from repro.device.tiles import block_hits
-
-    block_fn = PauliComplementSource(ps).edge_block
-    got = backend.block_hits(block_fn, 0, 30, 0, 30)
-    ref = block_hits(block_fn, 0, 30, 0, 30)
-    np.testing.assert_array_equal(got[0], ref[0])
-    np.testing.assert_array_equal(got[1], ref[1])
+    src = PauliComplementSource(random_pauli_set(40, 5, seed=4))
+    was = telemetry.enabled()
+    telemetry.reset()
+    telemetry.enable(True)
+    try:
+        for tile in [(0, 40, 0, 40), (3, 20, 17, 40)]:
+            got = conflict_hits_block(
+                colmasks, *tile, src.edge_mask, backend=backend
+            )
+            # Reference: brute force over the tile (its upper triangle
+            # when the tile sits on the diagonal).
+            r0, r1, c0, c1 = tile
+            ii, jj = np.meshgrid(
+                np.arange(r0, r1), np.arange(c0, c1), indexing="ij"
+            )
+            keep = ii < jj if r0 == c0 else np.ones(ii.shape, dtype=bool)
+            ii, jj = ii[keep], jj[keep]
+            shared = _ref_intersect_block(colmasks, r0, r1, c0, c1)[
+                ii - r0, jj - c0
+            ]
+            edge = src.edge_mask(ii, jj).astype(bool)
+            np.testing.assert_array_equal(got[0], ii[shared & edge])
+            np.testing.assert_array_equal(got[1], jj[shared & edge])
+        counters = telemetry.snapshot()["counters"]
+        assert counters[f"device.dispatch{{backend={backend.name}}}"] == 2.0
+    finally:
+        telemetry.enable(was)
+        telemetry.reset()

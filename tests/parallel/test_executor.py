@@ -131,11 +131,6 @@ class TestPoolExecutor:
         ex.close()
         assert not ex.pool_alive
 
-    def test_pin_flag_accepted(self):
-        with PoolExecutor(2, pin=True) as ex:
-            assert ex.map(_square_plus_bias, [2, 3], initializer=_install,
-                          payload=(0,)) == [4, 9]
-
     def test_failed_install_surfaces_fast_and_recycles(self):
         """A failing initializer must abort the install barrier (peers
         release immediately, not after the 120 s timeout), recycle the

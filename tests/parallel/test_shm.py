@@ -2,8 +2,7 @@
 
 ISSUE 3 acceptance: serial, pickled-pool and shm-pool builds are
 bit-identical per seed; the Lemma 2 undershoot path grows and retries;
-a persistent pool is reused (same worker processes) across >= 3 builds;
-pinning is a no-op where ``sched_setaffinity`` does not exist.
+a persistent pool is reused (same worker processes) across >= 3 builds.
 """
 
 import multiprocessing as mp
@@ -25,7 +24,6 @@ from repro.parallel import (
     SerialExecutor,
     ShmCooRegion,
     estimate_conflict_edges,
-    pin_current_worker,
     plan_strip_slots,
     shm_conflict_gather,
 )
@@ -399,29 +397,3 @@ class TestPicassoShmEndToEnd:
         assert dev.peak_bytes > dev_ref.peak_bytes
         assert dev.used_bytes == 0
         assert not dev.live_allocations()
-
-
-class TestPinning:
-    def test_noop_without_sched_setaffinity(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
-        assert pin_current_worker(0) is False
-
-    def test_noop_without_sched_getaffinity(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert pin_current_worker(0) is False
-
-    @pytest.mark.skipif(
-        not hasattr(os, "sched_setaffinity"), reason="no affinity syscall"
-    )
-    def test_pinned_pool_builds_bit_identical(self):
-        ps, src, masks = _problem()
-        ref, m_ref = build_conflict_graph(
-            ps.n, src.edge_mask, masks, edge_block_fn=src.edge_block
-        )
-        with PoolExecutor(2, pin=True) as ex:
-            got, m = build_conflict_graph(
-                ps.n, src.edge_mask, masks,
-                edge_block_fn=src.edge_block, executor=ex, shm=True,
-            )
-        assert m == m_ref
-        _assert_bit_identical(got, ref)

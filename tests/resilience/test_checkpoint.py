@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import Picasso, PicassoParams
+from repro.core import Picasso, PicassoParams, aggressive_params
 from repro.pauli import random_pauli_set
 from repro.resilience.checkpoint import (
     CHECKPOINT_VERSION,
@@ -143,6 +143,22 @@ class TestFingerprint:
         assert a == checkpoint_fingerprint(PicassoParams(), 100)
         assert a != checkpoint_fingerprint(PicassoParams(), 101)
         assert a != checkpoint_fingerprint(PicassoParams(alpha=3.0), 100)
+
+    def test_digest_survives_params_field_removals(self):
+        # Digests as written before the palette-floor and round-cap
+        # fields left PicassoParams: checkpoints from that code must
+        # still be found by a resumed run.
+        assert checkpoint_fingerprint(PicassoParams(), 1000) == "dc1ee7254c316f32"
+        assert (
+            checkpoint_fingerprint(aggressive_params(), 1730)
+            == "e6a46658634dc227"
+        )
+        assert (
+            checkpoint_fingerprint(
+                PicassoParams(color_engine="parallel-list"), 500
+            )
+            == "bc136eca7336baac"
+        )
 
     def test_insensitive_to_execution_knobs(self):
         a = checkpoint_fingerprint(PicassoParams(), 100)

@@ -201,25 +201,3 @@ class TestCrossProcessMerge:
         telemetry.enable(True)
         # Enabled but not a worker process: nothing to piggyback.
         assert telemetry.drain_worker_snapshot() is None
-
-
-class TestEnvKnob:
-    def test_env_enabled(self, monkeypatch):
-        monkeypatch.delenv(telemetry.ENV_VAR, raising=False)
-        assert not telemetry.env_enabled()
-        monkeypatch.setenv(telemetry.ENV_VAR, "1")
-        assert telemetry.env_enabled()
-        monkeypatch.setenv(telemetry.ENV_VAR, "0")
-        assert not telemetry.env_enabled()
-
-    def test_params_resolution(self, monkeypatch):
-        from repro.core import PicassoParams
-
-        monkeypatch.delenv(telemetry.ENV_VAR, raising=False)
-        assert not PicassoParams().resolved_telemetry()
-        monkeypatch.setenv(telemetry.ENV_VAR, "1")
-        assert PicassoParams().resolved_telemetry()
-        # An explicit bool always wins over the environment.
-        assert not PicassoParams(telemetry=False).resolved_telemetry()
-        monkeypatch.delenv(telemetry.ENV_VAR, raising=False)
-        assert PicassoParams(telemetry=True).resolved_telemetry()
