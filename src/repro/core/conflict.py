@@ -6,11 +6,18 @@ are materialized — the sparsity that gives Picasso its sublinear space
 (Lemma 2).  The device path with budget accounting lives in
 :mod:`repro.device.csr_build`; this host path shares the same kernels.
 
-The pair space is swept by the block-broadcast kernels of
-:mod:`repro.device.tiles`: each ``(row_block, col_block)`` tile loads
-its operand slices once and evaluates the fused intersect-then-edge
-kernel as a word broadcast.  No flat-index inversion, no quadratic row
-gather.
+The pair space is swept by one of two kernels, chosen per sweep by
+:func:`repro.device.buckets.plan_sweep`:
+
+- the block-broadcast tile kernel of :mod:`repro.device.tiles`, which
+  tests all ``n(n-1)/2`` pairs against the ``W`` palette words, each
+  ``(row_block, col_block)`` tile as one word broadcast;
+- the color-bucket kernel of :mod:`repro.device.buckets`, which only
+  generates the ``G`` pairs that share a candidate color.
+
+It picks the bucket kernel when ``G`` generated pairs cost less than
+``n(n-1)/2 · W`` word tests.  Both kernels emit the same canonical hit
+order, so the CSR is byte-identical whichever runs.
 
 The sweep runs through an execution backend
 (:mod:`repro.parallel.executor`): serial in-process streaming, or a
@@ -47,6 +54,7 @@ def build_conflict_graph(
     hosts=None,
     timings: dict | None = None,
     kernel_backend: str | None = None,
+    kernel: str = "auto",
 ) -> tuple[CSRGraph, int]:
     """Build the conflict graph over ``n`` active vertices on the host.
 
@@ -96,6 +104,9 @@ def build_conflict_graph(
         Kernel-backend *name* (:mod:`repro.device.backends`) for the
         sweep's hot kernels; ``None`` means numpy.
         Resolved worker-side, bit-identical across backends.
+    kernel:
+        Pair kernel: ``"auto"`` (the measured rule), ``"tile"`` or
+        ``"bucket"``.  Output is byte-identical either way.
 
     Returns the CSR conflict graph and the conflict-edge count.
     """
@@ -105,7 +116,7 @@ def build_conflict_graph(
             tile_bytes=tile_bytes, executor=ex, shm=shm,
             est_conflict_edges=est_conflict_edges,
             source=source, active_idx=active_idx, timings=timings,
-            kernel_backend=kernel_backend,
+            kernel_backend=kernel_backend, kernel=kernel,
         )
 
 
@@ -131,6 +142,7 @@ def count_conflict_edges(
     executor: str | Executor = "auto",
     hosts=None,
     kernel_backend: str | None = None,
+    kernel: str = "auto",
 ) -> int:
     """Conflict-edge count without materializing the graph (parameter
     sweeps, Fig. 5's ``max |Ec|`` heatmap)."""
@@ -139,7 +151,7 @@ def count_conflict_edges(
         for i, _ in conflict_sweep_chunks(
             n, edge_mask_fn, colmasks, edge_block_fn,
             tile_bytes=tile_bytes, executor=ex,
-            kernel_backend=kernel_backend,
+            kernel_backend=kernel_backend, kernel=kernel,
         ):
             total += len(i)
         return total

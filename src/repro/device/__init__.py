@@ -12,7 +12,6 @@ from repro.device.kernels import (
     conflict_pair_hits,
     conflict_pair_kernel,
     conflict_pair_kernel_python,
-    exclusive_scan,
     lists_intersect_kernel,
     lists_intersect_sorted,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "conflict_pair_hits",
     "conflict_pair_kernel",
     "conflict_pair_kernel_python",
-    "exclusive_scan",
     "lists_intersect_kernel",
     "lists_intersect_sorted",
     "DEFAULT_BUDGET_BYTES",

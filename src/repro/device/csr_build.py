@@ -68,6 +68,12 @@ def build_conflict_csr(
 ) -> tuple[CSRGraph, BuildStats]:
     """Run Algorithm 3 on a simulated device.
 
+    The sweep always runs the tile kernel (:mod:`repro.device.tiles`),
+    never the host build's color-bucket kernel
+    (:mod:`repro.device.buckets`): the device budget charges tile
+    scratch ahead of the COO buffer, and the bucket index has no
+    budgeted analog.
+
     Parameters
     ----------
     n:
@@ -232,6 +238,9 @@ def _algorithm3(
                 source=source, active_idx=active_idx,
                 region_cb=_charge_shm_region,
                 kernel_backend=kernel_backend,
+                # The budget above charges tile scratch, so this build
+                # keeps the tile kernel rather than the bucket kernel.
+                kernel="tile",
             )
         with hits as hit_stream:
             try:

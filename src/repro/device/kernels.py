@@ -132,10 +132,3 @@ def conflict_pair_kernel_python(
         if edge[k] and col_lists[int(i[k])] & col_lists[int(j[k])]:
             out[k] = 1
     return out
-
-
-def exclusive_scan(counts: np.ndarray) -> np.ndarray:
-    """Exclusive prefix sum (Algorithm 3 line 4), int64 output."""
-    out = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=out[1:])
-    return out

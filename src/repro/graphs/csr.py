@@ -107,6 +107,13 @@ class CSRGraph:
         return f"CSRGraph(n={self.n_vertices}, m={self.n_edges})"
 
 
+#: Arcs scattered per fill step.  A chunk's arcs are filled in slices
+#: of this size, in order, so the sort and rank temporaries stay a few
+#: MB however large a gathered strip is; the cursor carries each
+#: vertex's position across slices, so the result does not change.
+_FILL_SLICE = 1 << 18
+
+
 def _fill_arcs(
     cursor: np.ndarray, targets: np.ndarray, src: np.ndarray, dst: np.ndarray
 ) -> None:
@@ -118,8 +125,16 @@ def _fill_arcs(
     order: inputs already sorted by ``src`` (tile/pair sweeps emit rows
     ascending) skip the stable counting sort entirely.
     """
-    if len(src) == 0:
-        return
+    for k in range(0, len(src), _FILL_SLICE):
+        _fill_slice(
+            cursor, targets, src[k : k + _FILL_SLICE], dst[k : k + _FILL_SLICE]
+        )
+
+
+def _fill_slice(
+    cursor: np.ndarray, targets: np.ndarray, src: np.ndarray, dst: np.ndarray
+) -> None:
+    """One :data:`_FILL_SLICE` step of :func:`_fill_arcs`."""
     if np.any(src[:-1] > src[1:]):
         order = np.argsort(src, kind="stable")
         src = src[order]
@@ -150,6 +165,14 @@ def csr_from_coo_chunks(
     Arc order per vertex matches the legacy concatenate-and-stable-sort
     assembly (all ``u``-side arcs in chunk order, then all ``v``-side
     arcs), so downstream order-sensitive consumers see identical CSR.
+
+    **Canonical row order.**  Both conflict sweeps emit every edge as
+    ``u < v``: the tile kernel row-major within ascending tiles, the
+    color-bucket kernel ``(u, v)``-ascending.  Either stream leaves row
+    ``x`` holding its upper neighbours (``v > x``) ascending, then its
+    lower neighbours (``u < x``) ascending.  Any stream with that
+    property assembles the same bytes, which is what makes the two
+    kernels, and serial, pool and cluster sweeps, interchangeable.
     """
     chunks = [
         (np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64))

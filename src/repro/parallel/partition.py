@@ -1,6 +1,6 @@
 """Pair-space and tile-grid partitioning for parallel execution.
 
-Two decompositions of the same upper-triangular pair domain:
+Decompositions of the same upper-triangular pair domain:
 
 - :func:`partition_pairs` splits the flat index range ``[0, n(n-1)/2)``
   into balanced contiguous :class:`PairRange` slices — the per-device
@@ -13,6 +13,9 @@ Two decompositions of the same upper-triangular pair domain:
   concatenates strip results in strip order reproduces the serial
   sweep's chunk stream exactly — the property that keeps parallel and
   serial conflict-graph builds bit-identical.
+- :func:`partition_weights` is the same balanced cut over any weighted
+  1-D domain; the bucket sweep (:mod:`repro.device.buckets`) deals
+  row strips weighted by their generated pairs through it.
 
 Partitioning either domain — rather than the vertex range — gives
 balanced work regardless of degree skew, the same decomposition the
@@ -35,6 +38,7 @@ __all__ = [
     "tile_grid",
     "block_pair_count",
     "partition_tiles",
+    "partition_weights",
 ]
 
 #: Per-part capacity weights: any 1-D integer sequence (one positive
@@ -83,7 +87,8 @@ def partition_pairs(n: int, n_parts: int) -> list[PairRange]:
 class TileBlock:
     """Contiguous strip ``[start, stop)`` of upper-triangle tile indices
     in the canonical row-major order of
-    :func:`repro.device.tiles.iter_tiles`, plus its pair weight."""
+    :func:`repro.device.tiles.iter_tiles` (or of rows, for the bucket
+    sweep), plus its pair weight."""
 
     start: int
     stop: int
@@ -127,38 +132,51 @@ def partition_tiles(
     keep_empty: bool = False,
 ) -> list[TileBlock]:
     """Split the tile grid into ``n_parts`` contiguous strips balanced
-    by pair weight.
+    by pair weight (:func:`partition_weights` over the per-tile pair
+    counts of :func:`tile_grid`)."""
+    grid = tile_grid(n, tile)
+    weights = np.array(
+        [block_pair_count(*b) for b in grid], dtype=np.int64
+    )
+    return partition_weights(weights, n_parts, shares, keep_empty)
 
-    Strip boundaries are placed where the prefix pair weight crosses
-    the ideal targets ``total * k / n_parts``, so each strip's weight
-    differs from the ideal share by less than one tile's weight (tiles
-    are atomic — "balance within one tile").  Empty strips are dropped;
-    a degenerate grid yields one empty block, mirroring
-    :func:`partition_pairs`.
+
+def partition_weights(
+    weights: np.ndarray,
+    n_parts: int,
+    shares: ShareSpec | None = None,
+    keep_empty: bool = False,
+) -> list[TileBlock]:
+    """Split a weighted 1-D domain into ``n_parts`` contiguous strips
+    balanced by weight.
+
+    The domain is the tile list of the tile sweep, or the rows of the
+    bucket sweep weighted by their generated pairs.  Strip boundaries
+    are placed where the prefix weight crosses the ideal targets
+    ``total * k / n_parts``, so each strip's weight differs from the
+    ideal share by less than one item's weight (items are atomic —
+    "balance within one tile").  Empty strips are dropped; a degenerate
+    domain yields one empty block, mirroring :func:`partition_pairs`.
 
     With ``shares`` (one positive integer per part), targets become
-    ``total * cumsum(shares) / sum(shares)`` so strip k's pair weight is
-    proportional to ``shares[k]``, still within one tile of its quota.
+    ``total * cumsum(shares) / sum(shares)`` so strip k's weight is
+    proportional to ``shares[k]``, still within one item of its quota.
     Uniform shares reproduce the unweighted targets exactly, so the
     weighted partitioner is a strict generalization.  ``keep_empty``
-    keeps zero-tile strips in place (always exactly ``n_parts``
+    keeps zero-item strips in place (always exactly ``n_parts``
     entries) for the capacity-weighted positional deal.
     """
     if n_parts < 1:
         raise ValueError("n_parts must be >= 1")
     if shares is not None:
         _check_shares(shares, n_parts)
-    grid = tile_grid(n, tile)
-    weights = np.array(
-        [block_pair_count(*b) for b in grid], dtype=np.int64
-    )
-    prefix = np.cumsum(weights)
+    prefix = np.cumsum(np.asarray(weights, dtype=np.int64))
     total = int(prefix[-1]) if len(prefix) else 0
     if total == 0:
         if keep_empty:
             return [TileBlock(0, 0, 0)] * n_parts
         return [TileBlock(0, 0, 0)]
-    # Boundary after the first tile whose prefix weight reaches each
+    # Boundary after the first item whose prefix weight reaches each
     # ideal target; monotone by construction of the targets.
     if shares is None:
         targets = (total * np.arange(1, n_parts, dtype=np.int64)) // n_parts
@@ -166,7 +184,7 @@ def partition_tiles(
         csum = np.cumsum(_check_shares(shares, n_parts))
         targets = (total * csum[:-1]) // int(csum[-1])
     cuts = np.searchsorted(prefix, targets, side="left") + 1
-    bounds = [0, *cuts.tolist(), len(grid)]
+    bounds = [0, *cuts.tolist(), len(prefix)]
     out: list[TileBlock] = []
     for a, b in zip(bounds[:-1], bounds[1:]):
         if b > a:

@@ -52,6 +52,13 @@ from contextlib import ExitStack, contextmanager
 import numpy as np
 
 from repro import telemetry
+from repro.device.buckets import (
+    ColorBuckets,
+    bucket_hits_rows,
+    bucket_hits_strip,
+    plan_strip_weights,
+    plan_sweep,
+)
 from repro.device.tiles import (
     DEFAULT_TILE_BYTES,
     EdgeBlockFn,
@@ -64,7 +71,7 @@ from repro.device.tiles import (
 )
 from repro.graphs.csr import CSRGraph, csr_from_coo_chunks
 from repro.parallel.executor import Executor, SerialExecutor, owned_executor
-from repro.parallel.partition import partition_tiles, tile_grid
+from repro.parallel.partition import partition_tiles, partition_weights, tile_grid
 from repro.parallel.shm import (
     close_worker_attachments,
     shm_conflict_gather,
@@ -145,6 +152,7 @@ def sweep_payload(
     active_idx: np.ndarray | None = None,
     executor: Executor | None = None,
     kernel_backend: str | None = None,
+    kernel: str = "tile",
 ) -> tuple[dict, int | None]:
     """Build the install payload and its token for one sweep.
 
@@ -159,12 +167,18 @@ def sweep_payload(
     spawned and remote workers pick their backend against their own
     environment (a cluster agent without numba degrades to numpy on
     its own, bit-identically).
+
+    ``kernel`` (``"tile"`` or ``"bucket"``, the dispatcher's choice for
+    this sweep) rides the delta: workers build the matching per-sweep
+    state — tile scratch, or the color-bucket index derived from the
+    shipped ``colmasks``.
     """
     delta = {
         "n": n,
         "tile": tile,
         "colmasks": colmasks,
         "active_idx": active_idx,
+        "kernel": kernel,
     }
     if source is not None and executor is not None and executor.supports_payload_cache:
         # The token must name the *whole* static part, not just the
@@ -311,6 +325,9 @@ def init_sweep_worker(payload: dict) -> None:
             source = source.subset(idx)
         _WORKER["edge_mask_fn"] = source.edge_mask
         _WORKER["edge_block_fn"] = getattr(source, "edge_block", None)
+    if _WORKER["kernel"] == "bucket":
+        _WORKER["buckets"] = ColorBuckets.from_masks(_WORKER["colmasks"])
+        return
     # Worker-side backend resolution: the payload carries the *name*,
     # each worker resolves it against its own environment.
     _WORKER["backend"] = _backend_for(_WORKER.get("kernel_backend"))
@@ -321,9 +338,9 @@ def init_sweep_worker(payload: dict) -> None:
 def teardown_sweep_worker() -> dict | None:
     """Drop per-sweep worker state (the dispatcher's ``finally`` duty).
 
-    Clears the colmasks, the derived oracle functions and the tile
-    scratch, and closes cached shared-memory attachments, so none of it
-    outlives the sweep.  The token-cached static payload is kept — that
+    Clears the colmasks, the derived oracle functions, the tile scratch
+    or bucket index, and closes cached shared-memory attachments, so
+    none of it outlives the sweep.  The token-cached static payload is kept — that
     persistence is what lets the next install ship only a delta.
 
     Returns this worker's accumulated telemetry delta (``None`` when
@@ -347,28 +364,35 @@ def finalize_sweep(executor: Executor) -> None:
     )
 
 
-def _run_tile_strip(task: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Worker task: fused conflict kernel over one strip of tiles."""
+def _run_sweep_strip(task: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Worker task: one strip of the installed sweep — tiles
+    ``[start, stop)`` of the grid for the tile kernel, rows
+    ``[start, stop)`` for the bucket kernel."""
     fault_point("task")
     start, stop = task
     with telemetry.span("pool.strip", start=start, stop=stop):
-        u, v = conflict_hits_strip(
-            _WORKER["colmasks"],
-            _WORKER["grid"][start:stop],
-            _WORKER["edge_mask_fn"],
-            _WORKER["edge_block_fn"],
-            scratch=_WORKER["scratch"],
-            backend=_WORKER["backend"],
-        )
+        if _WORKER["kernel"] == "bucket":
+            u, v = bucket_hits_strip(
+                _WORKER["buckets"], start, stop, _WORKER["edge_mask_fn"]
+            )
+        else:
+            u, v = conflict_hits_strip(
+                _WORKER["colmasks"],
+                _WORKER["grid"][start:stop],
+                _WORKER["edge_mask_fn"],
+                _WORKER["edge_block_fn"],
+                scratch=_WORKER["scratch"],
+                backend=_WORKER["backend"],
+            )
     telemetry.observe("pool.strip_hits", float(len(u)))
     return u, v
 
 
-def run_tile_strip_shm(task) -> int:
-    """Worker task: tile strip swept into a shared COO slice; returns
+def run_sweep_strip_shm(task) -> int:
+    """Worker task: one strip swept into a shared COO slice; returns
     the hit count (negated on reservation overflow)."""
     (start, stop), spec = task
-    u, v = _run_tile_strip((start, stop))
+    u, v = _run_sweep_strip((start, stop))
     return write_strip_hits(u, v, spec)
 
 
@@ -407,11 +431,17 @@ def strip_shares(executor: Executor, n_tasks: int) -> list[int] | None:
 
 
 def sweep_strip_tasks(
-    n: int, tile: int, executor: Executor
+    n: int, tile: int, executor: Executor, row_weights: np.ndarray | None = None
 ) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Partition the tile grid for an executor: ``(start, stop)`` strip
+    """Partition the sweep for an executor: ``(start, stop)`` strip
     tasks in canonical order plus each strip's pair weight (the shm
     gather sizes slot reservations from the weights).
+
+    The tile kernel deals tile strips weighted by their pair counts.
+    Given the bucket kernel's per-row generated pairs
+    (:meth:`~repro.device.buckets.ColorBuckets.row_weights`), the
+    strips are row ranges weighted by them — an upper bound on a
+    strip's hits, like a tile strip's pair count.
 
     Heterogeneous backends (hierarchical cluster agents advertising
     their inner pool size) get a capacity-weighted partition: strip
@@ -422,11 +452,31 @@ def sweep_strip_tasks(
     n_tasks = n_workers * TASKS_PER_WORKER
     shares = strip_shares(executor, n_tasks)
     keep = shares is not None
-    blocks = partition_tiles(n, tile, n_tasks, shares=shares, keep_empty=keep)
+    if row_weights is None:
+        blocks = partition_tiles(n, tile, n_tasks, shares=shares, keep_empty=keep)
+    else:
+        blocks = partition_weights(
+            row_weights, n_tasks, shares=shares, keep_empty=keep
+        )
     blocks = blocks if keep else [b for b in blocks if len(b)]
     tasks = [(b.start, b.stop) for b in blocks]
     weights = np.array([b.n_pairs for b in blocks], dtype=np.int64)
     return tasks, weights
+
+
+def planned_strip_tasks(
+    n: int, tile: int, executor: Executor, colmasks: np.ndarray,
+    kernel: str, edge_mask_fn,
+) -> tuple[list[tuple[int, int]], np.ndarray, str]:
+    """Pick the sweep kernel
+    (:func:`repro.device.buckets.plan_strip_weights`) and partition the
+    sweep for it: :func:`sweep_strip_tasks` plus the chosen kernel's
+    name, which ships in the payload delta.  Workers build the bucket
+    index from the shipped colmasks; the dispatcher only weighs rows."""
+    weights = plan_strip_weights(n, colmasks, kernel, edge_mask_fn)
+    if weights is None:
+        return (*sweep_strip_tasks(n, tile, executor), "tile")
+    return (*sweep_strip_tasks(n, tile, executor, weights), "bucket")
 
 
 def conflict_sweep_chunks(
@@ -440,6 +490,7 @@ def conflict_sweep_chunks(
     source=None,
     active_idx: np.ndarray | None = None,
     kernel_backend: str | None = None,
+    kernel: str = "auto",
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Executor-routed conflict sweep: yield ``(i, j)`` edge chunks.
 
@@ -460,24 +511,34 @@ def conflict_sweep_chunks(
     derives ``source.subset(active_idx)`` locally.  Per-sweep worker
     state is cleared in a ``finally`` whether the sweep completes or
     aborts.
+
+    ``kernel`` picks the pair kernel: ``"auto"`` (the
+    :func:`repro.device.buckets.plan_sweep` rule), ``"tile"`` or
+    ``"bucket"``.  Both emit the same canonical stream order.
     """
     if tile is None:
         tile = tile_edge(tile_bytes, n=n)
     if executor is None or isinstance(executor, SerialExecutor):
+        buckets = plan_sweep(n, colmasks, kernel, edge_mask_fn)
+        if buckets is not None:
+            yield from bucket_hits_rows(buckets, 0, n, edge_mask_fn)
+            return
         yield from sweep_conflict_hits(
             n, colmasks, edge_mask_fn, edge_block_fn,
             tile=tile, backend=_backend_for(kernel_backend),
         )
         return
-    tasks, _ = sweep_strip_tasks(n, tile, executor)
+    tasks, _, kernel = planned_strip_tasks(
+        n, tile, executor, colmasks, kernel, edge_mask_fn
+    )
     payload_args = dict(
         n=n, tile=tile, colmasks=colmasks, edge_mask_fn=edge_mask_fn,
         edge_block_fn=edge_block_fn,
         source=source, active_idx=active_idx, executor=executor,
-        kernel_backend=kernel_backend,
+        kernel_backend=kernel_backend, kernel=kernel,
     )
     try:
-        yield from imap_sweep(executor, _run_tile_strip, tasks, payload_args)
+        yield from imap_sweep(executor, _run_sweep_strip, tasks, payload_args)
     finally:
         finalize_sweep(executor)
 
@@ -497,6 +558,7 @@ def conflict_hit_chunks(
     active_idx: np.ndarray | None = None,
     region_cb=None,
     kernel_backend: str | None = None,
+    kernel: str = "auto",
 ):
     """One gather-policy seam for every conflict build.
 
@@ -518,7 +580,7 @@ def conflict_hit_chunks(
             tile_bytes=tile_bytes, tile=tile, executor=executor,
             est_conflict_edges=est_conflict_edges,
             source=source, active_idx=active_idx, region_cb=region_cb,
-            kernel_backend=kernel_backend,
+            kernel_backend=kernel_backend, kernel=kernel,
         ) as gather:
             yield gather.chunks
         return
@@ -526,7 +588,7 @@ def conflict_hit_chunks(
         n, edge_mask_fn, colmasks, edge_block_fn,
         tile_bytes=tile_bytes, tile=tile, executor=executor,
         source=source, active_idx=active_idx,
-        kernel_backend=kernel_backend,
+        kernel_backend=kernel_backend, kernel=kernel,
     )
     try:
         yield stream
@@ -550,6 +612,7 @@ def gathered_conflict_csr(
     active_idx: np.ndarray | None = None,
     timings: dict | None = None,
     kernel_backend: str | None = None,
+    kernel: str = "auto",
 ) -> tuple[CSRGraph, int]:
     """Sweep-and-assemble: the shared back half of every host conflict
     build.  Runs one sweep through :func:`conflict_hit_chunks` and
@@ -576,7 +639,7 @@ def gathered_conflict_csr(
                     tile_bytes=tile_bytes, executor=executor,
                     shm=shm, est_conflict_edges=est_conflict_edges,
                     source=source, active_idx=active_idx,
-                    kernel_backend=kernel_backend,
+                    kernel_backend=kernel_backend, kernel=kernel,
                 ))
                 chunks = [(u, v) for u, v in hit_stream if len(u)]
             t1 = telemetry.clock()

@@ -316,8 +316,8 @@ def plan_strip_slots(
     Slots are proportional to each strip's pair weight (uniform random
     lists make hit density uniform over pair space), floored at
     :data:`MIN_STRIP_SLOTS` and capped at the weight itself — a strip
-    cannot hit more pairs than it scans, so a full-weight reservation
-    can never overflow.
+    cannot hit more pairs than it scans (tile strips) or generates
+    (bucket strips), so a full-weight reservation can never overflow.
     """
     weights = np.asarray(weights, dtype=np.int64)
     total = int(weights.sum())
@@ -361,6 +361,7 @@ def shm_conflict_gather(
     active_idx: np.ndarray | None = None,
     region_cb=None,
     kernel_backend: str | None = None,
+    kernel: str = "auto",
 ):
     """Run one conflict sweep through the shared-memory gather path.
 
@@ -377,6 +378,9 @@ def shm_conflict_gather(
     ``source``/``active_idx`` enable the persistent-pool delta payload
     (see :mod:`repro.parallel.pool`).  Works with any executor; the
     serial backend simply runs the same strip tasks in-process.
+    ``kernel`` picks the pair kernel as in
+    :func:`repro.parallel.pool.conflict_sweep_chunks`; bucket strips
+    reserve slots by their generated pairs instead of their pair count.
     """
     # Imported here, not at module top: pool.py imports this module for
     # the worker-side write path.
@@ -389,7 +393,9 @@ def shm_conflict_gather(
         from repro.device.tiles import DEFAULT_TILE_BYTES, tile_edge
 
         tile = tile_edge(tile_bytes or DEFAULT_TILE_BYTES, n=n)
-    tasks, weights = _pool.sweep_strip_tasks(n, tile, executor)
+    tasks, weights, kernel = _pool.planned_strip_tasks(
+        n, tile, executor, colmasks, kernel, edge_mask_fn
+    )
     result = ShmGatherResult(n_strips=len(tasks))
     if not tasks:
         yield result
@@ -406,7 +412,7 @@ def shm_conflict_gather(
         n=n, tile=tile, colmasks=colmasks, edge_mask_fn=edge_mask_fn,
         edge_block_fn=edge_block_fn,
         source=source, active_idx=active_idx, executor=executor,
-        kernel_backend=kernel_backend,
+        kernel_backend=kernel_backend, kernel=kernel,
     )
 
     regions: list[ShmCooRegion] = []
@@ -430,7 +436,7 @@ def shm_conflict_gather(
             for k, t in enumerate(tasks)
         ]
         counts = list(_pool.imap_sweep(
-            executor, _pool.run_tile_strip_shm, shm_tasks, payload_args
+            executor, _pool.run_sweep_strip_shm, shm_tasks, payload_args
         ))
 
         # Grow-and-retry: strips that overflowed reported their exact
@@ -465,7 +471,7 @@ def shm_conflict_gather(
             # still held) so a worker respawned since the main pass
             # does not run the strip against empty state.
             retry_counts = list(_pool.imap_sweep(
-                executor, _pool.run_tile_strip_shm, retry_tasks, payload_args
+                executor, _pool.run_sweep_strip_shm, retry_tasks, payload_args
             ))
             for r, k in enumerate(failed):
                 if retry_counts[r] < 0:  # pragma: no cover - exact sizing

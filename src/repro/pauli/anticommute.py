@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.pauli.encoding import I, encode_iooh, encode_symplectic
-from repro.util.bits import parity_block, parity_rows
+from repro.util.bits import parity_block, parity_pairs
 
 
 def anticommute_pairs_chars(
@@ -44,8 +44,9 @@ def anticommute_pairs_chars(
 def anticommute_pairs_iooh(
     packed: np.ndarray, i: np.ndarray, j: np.ndarray
 ) -> np.ndarray:
-    """Inverse one-hot kernel: ``parity(popcount(a & b))`` (the paper's)."""
-    return parity_rows(packed[i] & packed[j])
+    """Inverse one-hot kernel: ``parity(popcount(a & b))`` (the paper's),
+    gathered per word column and XOR-folded (:func:`parity_pairs`)."""
+    return parity_pairs(packed, i, packed, j)
 
 
 def anticommute_pairs_symplectic(
@@ -56,9 +57,7 @@ def anticommute_pairs_symplectic(
     ``P_i`` and ``P_j`` anticommute iff
     ``parity(x_i & z_j) XOR parity(z_i & x_j)`` is 1.
     """
-    p1 = parity_rows(x[i] & z[j])
-    p2 = parity_rows(z[i] & x[j])
-    return (p1 ^ p2).astype(np.uint8)
+    return parity_pairs(x, i, z, j) ^ parity_pairs(z, i, x, j)
 
 
 def anticommute_block_chars(
@@ -178,7 +177,9 @@ class AnticommuteOracle:
     def commute_edges(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """uint8 mask, 1 where ``(i, j)`` is an edge of the *complement*
         graph ``G'`` (distinct strings that do **not** anticommute)."""
-        return (1 - self.anticommute(i, j)).astype(np.uint8)
+        out = self.anticommute(i, j)
+        out ^= np.uint8(1)
+        return out
 
     def anticommute_block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
         """Block form of :meth:`anticommute`: uint8 ``(r1-r0, c1-c0)``

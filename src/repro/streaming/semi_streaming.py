@@ -51,6 +51,11 @@ def semi_streaming_color(
     certificate.
     """
     params = params or PicassoParams()
+    # Enable-only, as in the in-memory driver: a run that asks for
+    # telemetry turns the process-wide collector on; one that does not
+    # leaves whatever the process chose.
+    if params.telemetry:
+        telemetry.enable(True)
     rng = as_generator(seed)
     # Same pluggable Algorithm 2 seam as the in-memory driver: the
     # conflict coloring of each pass goes through the engine registry,
@@ -119,6 +124,8 @@ def _semi_streaming_color(stream, params, rng, color_engine, executor):
                 keep_v.append(lv[shared])
                 retained += int(shared.sum())
         max_retained = max(max_retained, retained)
+        telemetry.count("streaming.passes")
+        telemetry.count("streaming.retained_edges", float(retained))
         cu = np.concatenate(keep_u) if keep_u else np.empty(0, dtype=np.int64)
         cv = np.concatenate(keep_v) if keep_v else np.empty(0, dtype=np.int64)
         gc = from_edge_list(cu, cv, n_active, dedupe=True)

@@ -235,9 +235,34 @@ def parity_rows(words: np.ndarray) -> np.ndarray:
     """Parity (popcount mod 2) along the last axis, as ``uint8``.
 
     This is the anticommutation oracle: two encoded Pauli strings
-    anticommute iff the parity of ``popcount(a & b)`` is odd.
+    anticommute iff the parity of ``popcount(a & b)`` is odd.  Parity
+    is additive under XOR, so the words are XOR-folded first and only
+    one popcount runs per row.
     """
-    return (popcount_rows(words) & 1).astype(np.uint8)
+    words = np.asarray(words, dtype=np.uint64)
+    if words.shape[-1] == 0:
+        return np.zeros(words.shape[:-1], dtype=np.uint8)
+    return popcount_u8(np.bitwise_xor.reduce(words, axis=-1)) & np.uint8(1)
+
+
+def parity_pairs(
+    a: np.ndarray, i: np.ndarray, b: np.ndarray, j: np.ndarray
+) -> np.ndarray:
+    """``parity(popcount(a[i] & b[j]))`` per pair, as ``uint8``.
+
+    The gathered form of :func:`parity_rows`: it gathers one word column
+    at a time (``a[i, w] & b[j, w]``) and XOR-folds it into a single
+    accumulator, so no ``(m, W)`` row gather is materialized and one
+    popcount runs per pair.
+    """
+    a = np.asarray(a, dtype=np.uint64)
+    b = np.asarray(b, dtype=np.uint64)
+    if a.shape[1] == 0:
+        return np.zeros(len(i), dtype=np.uint8)
+    acc = a[i, 0] & b[j, 0]
+    for w in range(1, a.shape[1]):
+        acc ^= a[i, w] & b[j, w]
+    return popcount_u8(acc) & np.uint8(1)
 
 
 def packbits_rows(bits: np.ndarray, width: int | None = None) -> np.ndarray:

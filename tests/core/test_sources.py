@@ -104,6 +104,32 @@ class TestExplicitGraphSource:
         expected = np.array([g.has_edge(a, b) for a, b in zip(ii, jj)])
         np.testing.assert_array_equal(mask, expected)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("p", [0.02, 0.3, 0.9])
+    def test_edge_mask_random_queries_match_dense_adjacency(self, seed, p):
+        # Arbitrary (unsorted, repeated, self and both-orientation)
+        # queries against the dense adjacency matrix.
+        n = 120
+        g = erdos_renyi(n, p, seed=seed)
+        dense = np.zeros((n, n), dtype=np.uint8)
+        e = g.edges()
+        dense[e[:, 0], e[:, 1]] = dense[e[:, 1], e[:, 0]] = 1
+        rng = np.random.default_rng(seed)
+        i = rng.integers(0, n, size=5000)
+        j = rng.integers(0, n, size=5000)
+        got = ExplicitGraphSource(g).edge_mask(i, j)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, dense[i, j])
+
+    def test_edge_block_matches_edge_mask(self):
+        g = erdos_renyi(70, 0.2, seed=4)
+        src = ExplicitGraphSource(g)
+        blk = src.edge_block(10, 40, 25, 70)
+        ii, jj = np.meshgrid(np.arange(10, 40), np.arange(25, 70), indexing="ij")
+        np.testing.assert_array_equal(
+            blk, src.edge_mask(ii.ravel(), jj.ravel()).reshape(blk.shape)
+        )
+
     def test_isolated_vertices(self):
         g = erdos_renyi(10, 0.0, seed=0)
         src = ExplicitGraphSource(g)

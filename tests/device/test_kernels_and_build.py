@@ -12,7 +12,6 @@ from repro.device import (
     build_conflict_csr,
     conflict_pair_kernel,
     conflict_pair_kernel_python,
-    exclusive_scan,
     lists_intersect_kernel,
 )
 from repro.pauli import random_pauli_set
@@ -63,12 +62,6 @@ class TestKernels:
         lists = np.array([[3], [3], [5]], dtype=np.int64)
         got = lists_intersect_sorted(lists, np.array([0, 0]), np.array([1, 2]))
         np.testing.assert_array_equal(got, [1, 0])
-
-    def test_exclusive_scan(self):
-        np.testing.assert_array_equal(
-            exclusive_scan(np.array([2, 0, 3])), [0, 2, 2, 5]
-        )
-        np.testing.assert_array_equal(exclusive_scan(np.array([], dtype=int)), [0])
 
 
 class TestHostBuild:

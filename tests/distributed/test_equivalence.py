@@ -58,6 +58,20 @@ class TestConflictCSREquivalence:
         _assert_bit_identical(got, ref)
         _assert_bit_identical(got, pool)
 
+    def test_cluster_bucket_kernel_bit_identical_to_serial_tile(self, cluster):
+        # Row strips of the color-bucket kernel, weighted by generated
+        # pairs, merge back into the tile kernel's canonical CSR.
+        ps = random_pauli_set(300, 8, seed=6)
+        _, masks = assign_color_lists(300, 60, 5, rng=4)
+        src = PauliComplementSource(ps)
+        ref, m_ref = _build(ps, masks, kernel="tile")
+        got, m_got = _build(
+            ps, masks, executor="cluster", hosts=cluster.hosts,
+            kernel="bucket", source=src,
+        )
+        assert m_got == m_ref
+        _assert_bit_identical(got, ref)
+
     def test_repeat_builds_on_one_executor_use_token_cache(self, cluster):
         """The delta-install path: the root source installs once under
         a sweep token; later sweeps on the same executor ship only the

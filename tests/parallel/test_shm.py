@@ -152,8 +152,9 @@ class TestShmGatherEquivalence:
         _assert_bit_identical(got, ref)
 
     def test_zero_hit_strips(self):
-        """Disjoint singleton lists: every strip writes nothing, the
-        gather still produces the (empty) graph."""
+        """Disjoint singleton lists: every tile strip writes nothing, the
+        gather still produces the (empty) graph.  The bucket kernel
+        generates no pair at all, so it deals no strip."""
         ps = random_pauli_set(30, 5, seed=2)
         lists = np.arange(30, dtype=np.int64).reshape(-1, 1)
         masks = bitset_from_lists(lists, 30)
@@ -161,12 +162,18 @@ class TestShmGatherEquivalence:
         with PoolExecutor(2) as ex:
             with shm_conflict_gather(
                 30, src.edge_mask, masks,
-                edge_block_fn=src.edge_block, executor=ex,
+                edge_block_fn=src.edge_block, executor=ex, kernel="tile",
             ) as gather:
                 graph = csr_from_coo_chunks(gather.chunks, 30)
             assert gather.n_edges == 0
             assert gather.n_zero_strips == gather.n_strips > 0
             assert gather.chunks == []
+            with shm_conflict_gather(
+                30, src.edge_mask, masks,
+                edge_block_fn=src.edge_block, executor=ex, kernel="bucket",
+            ) as gather:
+                assert gather.n_strips == gather.n_edges == 0
+                assert gather.chunks == []
         assert graph.n_edges == 0
 
     def test_undershoot_grows_and_retries(self):

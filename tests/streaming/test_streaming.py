@@ -108,3 +108,22 @@ class TestSemiStreamingColor:
         oracle_colors = Picasso(seed=0).color(ps).n_colors
         assert stream_colors <= 1.25 * oracle_colors
         assert oracle_colors <= 1.25 * stream_colors
+
+    def test_telemetry_param_enables_collector(self):
+        """``PicassoParams(telemetry=True)`` turns the collector on, as
+        it does for the in-memory driver."""
+        from repro import telemetry
+
+        telemetry.reset()
+        telemetry.enable(False)
+        try:
+            semi_streaming_color(
+                PauliPairStream(random_pauli_set(200, 6, seed=1)),
+                PicassoParams(telemetry=True),
+                seed=1,
+            )
+            assert telemetry.enabled()
+            assert telemetry.snapshot()["counters"]["streaming.passes"] >= 1
+        finally:
+            telemetry.reset()
+            telemetry.enable(False)

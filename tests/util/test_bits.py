@@ -47,6 +47,24 @@ class TestPopcountRows:
         m = np.array([[1, 1], [3, 1], [0, 0]], dtype=np.uint64)
         np.testing.assert_array_equal(bits.parity_rows(m), [0, 1, 0])
 
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_parity_pairs_is_popcount_sum_parity(self, words, n, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 2**64, size=(n, words), dtype=np.uint64)
+        b = rng.integers(0, 2**64, size=(n, words), dtype=np.uint64)
+        i = rng.integers(0, n, size=3 * n)
+        j = rng.integers(0, n, size=3 * n)
+        expected = (bits.popcount(a[i] & b[j]).sum(axis=1) % 2).astype(np.uint8)
+        got = bits.parity_pairs(a, i, b, j)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(bits.parity_rows(a[i] & b[j]), expected)
+
 
 class TestPackbitsRows:
     def test_roundtrip_simple(self):
